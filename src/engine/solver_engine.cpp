@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "base/sync.hpp"
 #include "exec/affinity.hpp"
@@ -687,7 +689,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
                        storage);
         } else if (options_.tiled) {
           // A lone multi-RHS request still gains the tiled layout (the
-          // solver fuses its permute and pack passes internally).
+          // solver permutes and packs in one gather pass internally).
           tiled_batch = true;
           solver.solveMultiRhsTiled(request.b, x, request.nrhs,
                                     lease.context(), team, fold_policy,
@@ -699,34 +701,23 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       results.push_back(std::move(x));
     } else if (options_.tiled && !bounded_stale) {
-      // Coalesced batch, tiled layout: the k request vectors are packed
-      // DIRECTLY into the solver's cache-sized column tiles — permutation
-      // fused into the pack, no intermediate row-major staging matrix —
-      // solved via the zero-copy solveTiles entry, then unpacked per tile
-      // into the per-request results.
+      // Coalesced batch, tiled layout: the k request vectors are gathered
+      // DIRECTLY into the solver's cache-sized column tiles in its internal
+      // order — no intermediate row-major staging matrix — solved via the
+      // zero-copy solveTiles entry, then gathered back into the
+      // per-request results. Both passes run on the batch's leased team.
       total_rhs = static_cast<sts::index_t>(k);
       tiled_batch = true;
       const exec::TileLayout layout =
           solver.tileLayout(static_cast<sts::index_t>(k));
-      const auto perm = solver.permutation();
-      const bool permuted = solver.isPermuted();
       std::vector<double> b_tiled(n * k);
       std::vector<double> x_tiled(n * k);
       {
         STS_TRACE_SPAN1("engine", "pack", "rhs", k);
         const auto p0 = std::chrono::steady_clock::now();
-        for (std::size_t j = 0; j < k; ++j) {
-          const auto& b = batch[j].b;
-          const auto t = layout.tileOfCol(static_cast<sts::index_t>(j));
-          const auto c = static_cast<std::size_t>(
-              layout.colInTile(static_cast<sts::index_t>(j)));
-          const auto w = static_cast<std::size_t>(layout.tileWidth(t));
-          double* dst = b_tiled.data() + layout.tileOffset(t);
-          for (std::size_t i = 0; i < n; ++i) {
-            const auto row = permuted ? static_cast<std::size_t>(perm[i]) : i;
-            dst[i * w + c] = b[row];
-          }
-        }
+        std::vector<std::span<const double>> b(k);
+        for (std::size_t j = 0; j < k; ++j) b[j] = batch[j].b;
+        solver.packTiles(b, b_tiled, layout, lease.context(), team);
         pack_elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           p0)
@@ -741,19 +732,12 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
         STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
         const auto u0 = std::chrono::steady_clock::now();
         results.resize(k);
+        std::vector<std::span<double>> x(k);
         for (std::size_t j = 0; j < k; ++j) {
-          auto& x = results[j];
-          x.resize(n);
-          const auto t = layout.tileOfCol(static_cast<sts::index_t>(j));
-          const auto c = static_cast<std::size_t>(
-              layout.colInTile(static_cast<sts::index_t>(j)));
-          const auto w = static_cast<std::size_t>(layout.tileWidth(t));
-          const double* src = x_tiled.data() + layout.tileOffset(t);
-          for (std::size_t i = 0; i < n; ++i) {
-            const auto row = permuted ? static_cast<std::size_t>(perm[i]) : i;
-            x[row] = src[i * w + c];
-          }
+          results[j].resize(n);
+          x[j] = results[j];
         }
+        solver.unpackTiles(x_tiled, x, layout, lease.context(), team);
         unpack_elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           u0)

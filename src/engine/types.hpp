@@ -243,10 +243,11 @@ struct EngineOptions {
   /// memory and coalesced-request latency envelope `max_batch` implies.
   bool adaptive_batch = false;
   /// Execute multi-RHS batches through the tiled path: requests are packed
-  /// DIRECTLY into the solver's cache-sized column tiles (exec/tile.hpp,
-  /// permutation fused into the pack — no intermediate row-major staging)
-  /// and solved via TriangularSolver::solveTiles, then unpacked per tile
-  /// into the per-request result vectors. Single-RHS batches are unaffected
+  /// DIRECTLY into the solver's cache-sized column tiles (exec/tile.hpp) by
+  /// TriangularSolver::packTiles — one parallel gather into the internal
+  /// row order, no intermediate row-major staging — solved via solveTiles,
+  /// then gathered back into the per-request result vectors by
+  /// unpackTiles. Single-RHS batches are unaffected
   /// (one column is its own tile). Pure layout choice — bitwise identical
   /// results; tiled batches count in SolverServingStats::tiled_batches and
   /// the pack/unpack passes in pack_seconds / unpack_seconds.

@@ -8,6 +8,7 @@
 #include "exec/affinity.hpp"
 #include "exec/row_kernels.hpp"
 #include "exec/serial.hpp"
+#include "exec/spin_barrier.hpp"
 #include "obs/trace.hpp"
 
 namespace sts::exec {
@@ -46,8 +47,9 @@ void slabP2pRegion(const detail::SlabPlan& plan, index_t steps, int team,
             // flag costs the tracer nothing.
             if (done[u].load(std::memory_order_acquire) != epoch) {
               tracer.spinBegin();
-              while (done[u].load(std::memory_order_acquire) != epoch) {
-              }
+              spinUntil([&] {
+                return done[u].load(std::memory_order_acquire) == epoch;
+              });
               tracer.spinEnd(static_cast<std::uint64_t>(i));
             }
           }
@@ -222,9 +224,9 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
         const auto u = static_cast<size_t>(wait_adj_[static_cast<size_t>(k)]);
         if (done[u].load(std::memory_order_acquire) != epoch) {
           tracer.spinBegin();
-          while (done[u].load(std::memory_order_acquire) != epoch) {
-            // spin: dependencies resolve within a few hundred cycles
-          }
+          spinUntil([&] {
+            return done[u].load(std::memory_order_acquire) == epoch;
+          });
           tracer.spinEnd(static_cast<std::uint64_t>(i));
         }
       }
@@ -314,8 +316,9 @@ void P2pExecutor::solveMultiRhs(std::span<const double> b,
         const auto u = static_cast<size_t>(wait_adj_[static_cast<size_t>(k)]);
         if (done[u].load(std::memory_order_acquire) != epoch) {
           tracer.spinBegin();
-          while (done[u].load(std::memory_order_acquire) != epoch) {
-          }
+          spinUntil([&] {
+            return done[u].load(std::memory_order_acquire) == epoch;
+          });
           tracer.spinEnd(static_cast<std::uint64_t>(i));
         }
       }
@@ -383,8 +386,9 @@ void P2pExecutor::solveTileCsrPass(std::span<const double> b_tile,
         const auto u = static_cast<size_t>(wait_adj_[static_cast<size_t>(k)]);
         if (done[u].load(std::memory_order_acquire) != epoch) {
           tracer.spinBegin();
-          while (done[u].load(std::memory_order_acquire) != epoch) {
-          }
+          spinUntil([&] {
+            return done[u].load(std::memory_order_acquire) == epoch;
+          });
           tracer.spinEnd(static_cast<std::uint64_t>(i));
         }
       }

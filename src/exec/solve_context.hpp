@@ -58,6 +58,7 @@ class P2pExecutor;
 class ScopedPin;
 class SspExecutor;
 class TriangularSolver;
+struct RowBlock;
 
 class SolveContext {
  public:
@@ -114,6 +115,9 @@ class SolveContext {
   friend class SspExecutor;
   friend class TriangularSolver;
   friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only
+  friend void gatherRows(std::span<const sts::index_t> map,
+                         std::span<const RowBlock> blocks, SolveContext& ctx,
+                         int team);
 
   /// Throws std::invalid_argument unless this context can host a solve of
   /// `num_threads` team members over `num_vertices` rows: the thread count
@@ -128,11 +132,14 @@ class SolveContext {
   /// epoch and release a waiter early.
   std::uint32_t beginP2pEpoch();
 
-  /// Scratch sized to at least `size` doubles (grow-only).
+  /// Scratch sized to at least `size` doubles (grow-only): the facade's
+  /// internal-order b and x, which its gather pass (gather.hpp) fills from
+  /// the caller's b before the executor runs and reads back into the
+  /// caller's x after it.
   std::span<double> bScratch(std::size_t size);
   std::span<double> xScratch(std::size_t size);
-  /// SSP residual/correction scratch — distinct from b/xScratch, which the
-  /// solver-level permutation wrappers already occupy during a solve.
+  /// SSP residual/correction scratch — distinct from b/xScratch, which
+  /// hold the internal-order vectors during a permuted solve.
   std::span<double> sspScratch(std::size_t size);
 
   /// Executors report each team member's ScopedPin outcome here from

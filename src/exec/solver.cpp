@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "baselines/bsplist.hpp"
 #include "baselines/hdagg.hpp"
 #include "baselines/wavefront.hpp"
 #include "check/check.hpp"
 #include "core/coarsen.hpp"
+#include "exec/gather.hpp"
 #include "exec/serial.hpp"
 #include "obs/trace.hpp"
 #include "sparse/permute.hpp"
@@ -28,6 +31,37 @@ std::string schedulerKindName(SchedulerKind kind) {
   }
   return "?";
 }
+
+namespace {
+
+/// dst row i = src row map[i], rows of `width` doubles (row-major n x width
+/// on both sides): one crossing of the internal order, on the solve's team.
+void gatherRowMajor(std::span<const index_t> map, std::span<const double> src,
+                    std::span<double> dst, std::size_t width,
+                    SolveContext& ctx, int team) {
+  const RowBlock block{src.data(), width, dst.data(), width, width};
+  gatherRows(map, {&block, 1}, ctx, team);
+}
+
+/// Throws unless `columns` holds layout.cols() vectors of `rows` doubles
+/// and `tiled` is the packed buffer of an n == `rows` layout.
+template <typename Column>
+void requireColumnShapes(std::span<const Column> columns,
+                         std::span<const double> tiled,
+                         const TileLayout& layout, index_t rows,
+                         const char* who) {
+  bool ok = layout.rows() == rows && tiled.size() == layout.totalDoubles() &&
+            columns.size() == static_cast<size_t>(layout.cols());
+  for (const Column& column : columns) {
+    ok = ok && column.size() == static_cast<size_t>(rows);
+  }
+  if (!ok) {
+    throw std::invalid_argument(std::string(who) +
+                                ": column/tile layout size mismatch");
+  }
+}
+
+}  // namespace
 
 TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
                                            const SolverOptions& options) {
@@ -160,6 +194,7 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
       std::chrono::duration<double>(Clock::now() - t0).count();
   solver.stats_ = core::computeScheduleStats(dag, solver.schedule_,
                                              gl.sync_cost_l);
+  solver.old_to_new_ = sparse::inversePermutation(solver.total_new_to_old_);
 
   // The lossless clamp: schedules keep their analyzed width (folding
   // re-targets them to any t <= numThreads() at solve time), but the
@@ -197,16 +232,13 @@ void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
     solvePermuted(b, x, ctx, threads, policy, storage);
     return;
   }
+  const int team = clampTeam(threads);
   const auto n = static_cast<size_t>(n_);
-  auto b_perm = ctx.bScratch(n);
-  auto x_perm = ctx.xScratch(n);
-  for (size_t i = 0; i < n; ++i) {
-    b_perm[i] = b[static_cast<size_t>(total_new_to_old_[i])];
-  }
-  solvePermuted(b_perm, x_perm, ctx, threads, policy, storage);
-  for (size_t i = 0; i < n; ++i) {
-    x[static_cast<size_t>(total_new_to_old_[i])] = x_perm[i];
-  }
+  const auto b_int = ctx.bScratch(n);
+  const auto x_int = ctx.xScratch(n);
+  gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
+  solvePermuted(b_int, x_int, ctx, team, policy, storage);
+  gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
@@ -246,14 +278,10 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
   std::span<const double> b_in = b;
   std::span<double> x_out = x;
   if (permuted_) {
-    auto b_perm = ctx.bScratch(n * r);
-    auto x_perm = ctx.xScratch(n * r);
-    for (size_t i = 0; i < n; ++i) {
-      const auto old = static_cast<size_t>(total_new_to_old_[i]);
-      for (size_t c = 0; c < r; ++c) b_perm[i * r + c] = b[old * r + c];
-    }
-    b_in = b_perm;
-    x_out = x_perm;
+    const auto b_int = ctx.bScratch(n * r);
+    gatherRowMajor(total_new_to_old_, b, b_int, r, ctx, team);
+    b_in = b_int;
+    x_out = ctx.xScratch(n * r);
   }
   if (contiguous_) {
     contiguous_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
@@ -262,12 +290,7 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
   } else {
     bsp_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
   }
-  if (permuted_) {
-    for (size_t i = 0; i < n; ++i) {
-      const auto old = static_cast<size_t>(total_new_to_old_[i]);
-      for (size_t c = 0; c < r; ++c) x[old * r + c] = x_out[i * r + c];
-    }
-  }
+  if (permuted_) gatherRowMajor(old_to_new_, x_out, x, r, ctx, team);
 }
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
@@ -311,16 +334,12 @@ SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
     return ssp_->solve(b, x, opts, ctx, team, policy, storage);
   }
   const auto n = static_cast<size_t>(n_);
-  auto b_perm = ctx.bScratch(n);
-  auto x_perm = ctx.xScratch(n);
-  for (size_t i = 0; i < n; ++i) {
-    b_perm[i] = b[static_cast<size_t>(total_new_to_old_[i])];
-  }
+  const auto b_int = ctx.bScratch(n);
+  const auto x_int = ctx.xScratch(n);
+  gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
   const SspResult result =
-      ssp_->solve(b_perm, x_perm, opts, ctx, team, policy, storage);
-  for (size_t i = 0; i < n; ++i) {
-    x[static_cast<size_t>(total_new_to_old_[i])] = x_perm[i];
-  }
+      ssp_->solve(b_int, x_int, opts, ctx, team, policy, storage);
+  gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
   return result;
 }
 
@@ -347,18 +366,12 @@ SspResult TriangularSolver::solveBoundedStaleMultiRhs(
   if (!permuted_) {
     return ssp_->solveMultiRhs(b, x, nrhs, opts, ctx, team, policy, storage);
   }
-  auto b_perm = ctx.bScratch(n * r);
-  auto x_perm = ctx.xScratch(n * r);
-  for (size_t i = 0; i < n; ++i) {
-    const auto old = static_cast<size_t>(total_new_to_old_[i]);
-    for (size_t c = 0; c < r; ++c) b_perm[i * r + c] = b[old * r + c];
-  }
-  const SspResult result = ssp_->solveMultiRhs(b_perm, x_perm, nrhs, opts,
-                                               ctx, team, policy, storage);
-  for (size_t i = 0; i < n; ++i) {
-    const auto old = static_cast<size_t>(total_new_to_old_[i]);
-    for (size_t c = 0; c < r; ++c) x[old * r + c] = x_perm[i * r + c];
-  }
+  const auto b_int = ctx.bScratch(n * r);
+  const auto x_int = ctx.xScratch(n * r);
+  gatherRowMajor(total_new_to_old_, b, b_int, r, ctx, team);
+  const SspResult result = ssp_->solveMultiRhs(b_int, x_int, nrhs, opts, ctx,
+                                               team, policy, storage);
+  gatherRowMajor(old_to_new_, x_int, x, r, ctx, team);
   return result;
 }
 
@@ -391,34 +404,22 @@ void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
   const int team = clampTeam(threads);
   const TileLayout layout = tileLayout(nrhs);
   const auto r = static_cast<size_t>(nrhs);
-  auto b_tiled = ctx.bScratch(n * r);
-  auto x_tiled = ctx.xScratch(n * r);
-  // Fused permute + pack: one pass builds each tile directly from the
-  // original-order rows (identity permutation when not reordered).
+  const auto b_tiled = ctx.bScratch(n * r);
+  const auto x_tiled = ctx.xScratch(n * r);
+  // Tile t is columns [c0, c0 + w) of the row-major matrix, so one gather
+  // each way permutes and packs (or unpacks) every tile.
+  std::vector<RowBlock> pack, unpack;
   for (index_t t = 0; t < layout.numTiles(); ++t) {
     const auto w = static_cast<size_t>(layout.tileWidth(t));
     const auto c0 = static_cast<size_t>(layout.tileBegin(t));
-    double* dst = b_tiled.data() + layout.tileOffset(t);
-    for (size_t i = 0; i < n; ++i) {
-      const auto row =
-          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
-      const double* src = b.data() + row * r + c0;
-      for (size_t c = 0; c < w; ++c) dst[i * w + c] = src[c];
-    }
+    pack.push_back({b.data() + c0, r, b_tiled.data() + layout.tileOffset(t),
+                    w, w});
+    unpack.push_back({x_tiled.data() + layout.tileOffset(t), w, x.data() + c0,
+                      r, w});
   }
+  gatherRows(total_new_to_old_, pack, ctx, team);
   solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
-  // Fused unpack + unpermute.
-  for (index_t t = 0; t < layout.numTiles(); ++t) {
-    const auto w = static_cast<size_t>(layout.tileWidth(t));
-    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
-    const double* src = x_tiled.data() + layout.tileOffset(t);
-    for (size_t i = 0; i < n; ++i) {
-      const auto row =
-          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
-      double* dst = x.data() + row * r + c0;
-      for (size_t c = 0; c < w; ++c) dst[c] = src[i * w + c];
-    }
-  }
+  gatherRows(old_to_new_, unpack, ctx, team);
 }
 
 void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
@@ -426,6 +427,40 @@ void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                                           SolveContext& ctx) const {
   solveMultiRhsTiled(b, x, nrhs, ctx, default_team_, options_.fold_policy,
                      options_.storage);
+}
+
+void TriangularSolver::packTiles(std::span<const std::span<const double>> b,
+                                 std::span<double> b_tiled,
+                                 const TileLayout& layout, SolveContext& ctx,
+                                 int threads) const {
+  requireColumnShapes(b, b_tiled, layout, n_,
+                      "TriangularSolver::packTiles");
+  std::vector<RowBlock> blocks;
+  for (index_t j = 0; j < layout.cols(); ++j) {
+    const index_t t = layout.tileOfCol(j);
+    blocks.push_back({b[static_cast<size_t>(j)].data(), 1,
+                      b_tiled.data() + layout.tileOffset(t) +
+                          static_cast<size_t>(layout.colInTile(j)),
+                      static_cast<size_t>(layout.tileWidth(t)), 1});
+  }
+  gatherRows(total_new_to_old_, blocks, ctx, clampTeam(threads));
+}
+
+void TriangularSolver::unpackTiles(std::span<const double> x_tiled,
+                                   std::span<const std::span<double>> x,
+                                   const TileLayout& layout, SolveContext& ctx,
+                                   int threads) const {
+  requireColumnShapes(x, x_tiled, layout, n_,
+                      "TriangularSolver::unpackTiles");
+  std::vector<RowBlock> blocks;
+  for (index_t j = 0; j < layout.cols(); ++j) {
+    const index_t t = layout.tileOfCol(j);
+    blocks.push_back({x_tiled.data() + layout.tileOffset(t) +
+                          static_cast<size_t>(layout.colInTile(j)),
+                      static_cast<size_t>(layout.tileWidth(t)),
+                      x[static_cast<size_t>(j)].data(), 1, 1});
+  }
+  gatherRows(old_to_new_, blocks, ctx, clampTeam(threads));
 }
 
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,

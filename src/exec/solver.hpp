@@ -220,9 +220,9 @@ class TriangularSolver {
 
   /// Tiled SpTRSM: like solveMultiRhs (row-major n x nrhs in the ORIGINAL
   /// ordering, bitwise-identical columns) but the solve runs on the
-  /// cache-sized column tiles of tileLayout(nrhs) — the permutation and the
-  /// tile packing are fused into one pass each way, so tiling adds no
-  /// traversal beyond what the permuted path already paid.
+  /// cache-sized column tiles of tileLayout(nrhs). One parallel gather
+  /// each way (gather.hpp) both permutes and packs or unpacks every tile,
+  /// so tiling adds no pass beyond what the permuted path already pays.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           index_t nrhs, SolveContext& ctx, int threads,
                           core::FoldPolicy policy, StorageKind storage) const;
@@ -231,11 +231,25 @@ class TriangularSolver {
 
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row
-  /// order. The zero-copy entry the serving engine packs coalesced batches
-  /// into directly (solver_engine.cpp) — no intermediate row-major matrix.
+  /// order. The serving engine fills b_tiled with packTiles and reads
+  /// x_tiled back with unpackTiles, with no row-major staging matrix.
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
                   const TileLayout& layout, SolveContext& ctx, int threads,
                   core::FoldPolicy policy, StorageKind storage) const;
+
+  /// solveTiles' b side for callers holding one ORIGINAL-order vector per
+  /// right-hand side: column j of `layout` (layout.cols() == b.size(), each
+  /// of numRows() doubles) is gathered from b[j] into the INTERNAL order of
+  /// b_tiled, in one parallel pass on `threads` members of ctx's team.
+  void packTiles(std::span<const std::span<const double>> b,
+                 std::span<double> b_tiled, const TileLayout& layout,
+                 SolveContext& ctx, int threads) const;
+  /// The x side: column j of x_tiled lands in x[j] in the ORIGINAL order,
+  /// each member writing one contiguous row range of every x[j].
+  void unpackTiles(std::span<const double> x_tiled,
+                   std::span<const std::span<double>> x,
+                   const TileLayout& layout, SolveContext& ctx,
+                   int threads) const;
 
   /// The tile partition an nrhs-column tiled solve uses: width from
   /// `tile_cols` if > 0, else options().tile_cols, else the cache-sized
@@ -252,9 +266,9 @@ class TriangularSolver {
   /// order: position i corresponds to original row permutation()[i].
   /// Workflows that keep their vectors in permuted space across many solves
   /// — as the paper's evaluation does (§5: "execute the SpTRSV computation
-  /// on the permuted problem") — avoid the two O(n) vector permutations
-  /// per solve() this way. Identical to solve() when no permutation was
-  /// applied.
+  /// on the permuted problem") — skip the two gather passes (gather.hpp)
+  /// that solve() runs around it. Identical to solve() when no permutation
+  /// was applied.
   void solvePermuted(std::span<const double> b, std::span<double> x,
                      SolveContext& ctx, int threads, core::FoldPolicy policy,
                      StorageKind storage) const;
@@ -308,6 +322,9 @@ class TriangularSolver {
   /// runs on *matrix_ with b permuted by total_new_to_old_.
   bool permuted_ = false;
   std::vector<index_t> total_new_to_old_;
+  /// Its inverse, so that bringing x back is a gather as well: every
+  /// member of the pass writes one contiguous range of the caller's x.
+  std::vector<index_t> old_to_new_;
   /// Heap-allocated so executor references stay valid across solver moves.
   std::shared_ptr<const CsrMatrix> matrix_;
 

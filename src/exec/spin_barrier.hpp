@@ -12,6 +12,26 @@
 
 namespace sts::exec {
 
+/// Polls spinUntil makes between yields: long enough to cover a hand-off
+/// between running threads, short enough that an oversubscribed waiter
+/// soon gives its timeslice to the thread it waits on.
+inline constexpr int kSpinsBeforeYield = 4096;
+
+/// Busy-waits until `ready()` holds, yielding every kSpinsBeforeYield
+/// polls. The one wait loop of the executors: the barrier below and the
+/// P2P completion flags (p2p.cpp) both spin through it, so a team wider
+/// than the machine degrades to yielding instead of burning whole
+/// timeslices against a descheduled producer.
+template <typename ReadyFn>
+void spinUntil(ReadyFn&& ready) {
+  for (int spins = 0; !ready();) {
+    if (++spins >= kSpinsBeforeYield) {
+      std::this_thread::yield();
+      spins = 0;
+    }
+  }
+}
+
 class SpinBarrier {
  public:
   explicit SpinBarrier(int num_threads) : num_threads_(num_threads) {}
@@ -36,13 +56,8 @@ class SpinBarrier {
       arrived_.store(0, std::memory_order_relaxed);
       sense_.store(next, std::memory_order_release);
     } else {
-      int spins = 0;
-      while (sense_.load(std::memory_order_acquire) != next) {
-        if (++spins >= 4096) {
-          std::this_thread::yield();  // oversubscription fallback
-          spins = 0;
-        }
-      }
+      spinUntil(
+          [&] { return sense_.load(std::memory_order_acquire) == next; });
     }
     local_sense = next;
   }

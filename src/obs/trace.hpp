@@ -385,7 +385,8 @@ class StepTracer {
     if (w > max_wait_ns_) max_wait_ns_ = w;
   }
 
-  /// P2P: region over; everything that was not a spin wait is compute.
+  /// P2P, and the superstep-free permutation gather (exec/gather.hpp):
+  /// region over; everything that was not a spin wait is compute.
   void finishP2p(std::uint64_t steps) {
     if (!enabled_) return;
     const std::uint64_t elapsed = nowNanos() - region_t0_;

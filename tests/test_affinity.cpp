@@ -264,62 +264,72 @@ TEST(Affinity, PinnedSolveBitwiseMatchesUnpinned) {
 // --------------------------------------------------------- pinned engine --
 
 std::shared_ptr<const TriangularSolver> analyzeWidth(
-    const sparse::CsrMatrix& lower, int width) {
+    const sparse::CsrMatrix& matrix, int width, bool reorder = false) {
   SolverOptions opts;
   opts.num_threads = width;
-  opts.reorder = false;
+  opts.reorder = reorder;
   return std::make_shared<const TriangularSolver>(
-      TriangularSolver::analyze(lower, opts));
+      TriangularSolver::analyze(matrix, opts));
 }
 
 /// pin_threads end to end: results stay bitwise, every batch is pinned
 /// (when the platform supports it), and the budget's core-set invariants
-/// hold across concurrent workers. Runs under TSan in CI.
+/// hold across concurrent workers. The upper input is reversed, then
+/// reordered, and coalesces, so the engine's tiled pack and unpack cross a
+/// real permutation on pinned teams. Runs under TSan in CI.
 TEST(AffinityEngine, PinnedServingIsBitwiseAndCounted) {
   const auto lower = datagen::bandedLower(300, 8, 0.5, 93);
-  auto solver = analyzeWidth(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 94);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
+  for (const bool upper : {false, true}) {
+    SCOPED_TRACE(upper ? "upper" : "lower");
+    const sparse::CsrMatrix matrix = upper ? lower.transposed() : lower;
+    auto solver = analyzeWidth(matrix, 4, /*reorder=*/upper);
+    const auto x_true = exec::referenceSolution(matrix.rows(), 94);
+    const auto b = matrix.multiply(x_true);
+    std::vector<double> expected(b.size(), 0.0);
+    {
+      auto ctx = solver->createContext();
+      solver->solve(b, expected, *ctx, solver->numThreads());
+    }
 
-  engine::EngineOptions options;
-  options.num_workers = 4;
-  options.coalesce = false;  // one batch per request: maximal contention
-  options.start_paused = true;
-  options.team_size = 4;
-  options.pin_threads = true;  // core set auto-detected from the process
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
+    engine::EngineOptions options;
+    options.num_workers = 4;
+    // Lower: one batch per request, maximal contention.
+    options.coalesce = upper;
+    options.start_paused = true;
+    options.team_size = 4;
+    options.pin_threads = true;  // core set auto-detected from the process
+    engine::SolverEngine engine(options);
+    const auto id = engine.registerSolver(solver);
 
-  constexpr int kRequests = 32;
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < kRequests; ++r) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
+    constexpr int kRequests = 32;
+    std::vector<std::future<std::vector<double>>> futures;
+    for (int r = 0; r < kRequests; ++r) futures.push_back(engine.submit(id, b));
+    engine.resume();
+    for (auto& f : futures) EXPECT_EQ(f.get(), expected);
+    engine.drain();
 
-  const auto stats = engine.stats(id);
-  EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(engine.coreBudget().inUse(), 0);
-  if (exec::affinitySupported()) {
-    const int cores = static_cast<int>(exec::systemCoreSet().size());
-    EXPECT_TRUE(engine.coreBudget().hasCoreSet());
-    EXPECT_EQ(engine.coreBudget().total(), cores);
-    EXPECT_LE(engine.coreBudget().peakInUse(), cores);
-    EXPECT_EQ(stats.pinned_batches, stats.batches)
-        << "every batch must execute on a pinned team";
-    EXPECT_GE(stats.pinned_threads, stats.pinned_batches)
-        << "each pinned batch pins at least one team member";
-    // Teams never exceed the disjoint core set they leased.
-    EXPECT_LE(stats.mean_team_size, static_cast<double>(cores));
-  } else {
-    EXPECT_FALSE(engine.coreBudget().hasCoreSet());
-    EXPECT_EQ(stats.pinned_batches, 0u);
-    EXPECT_EQ(stats.pinned_threads, 0u);
+    const auto stats = engine.stats(id);
+    EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(engine.coreBudget().inUse(), 0);
+    if (upper) {
+      EXPECT_GT(stats.tiled_batches, 0u);
+    }
+    if (exec::affinitySupported()) {
+      const int cores = static_cast<int>(exec::systemCoreSet().size());
+      EXPECT_TRUE(engine.coreBudget().hasCoreSet());
+      EXPECT_EQ(engine.coreBudget().total(), cores);
+      EXPECT_LE(engine.coreBudget().peakInUse(), cores);
+      EXPECT_EQ(stats.pinned_batches, stats.batches)
+          << "every batch must execute on a pinned team";
+      EXPECT_GE(stats.pinned_threads, stats.pinned_batches)
+          << "each pinned batch pins at least one team member";
+      // Teams never exceed the disjoint core set they leased.
+      EXPECT_LE(stats.mean_team_size, static_cast<double>(cores));
+    } else {
+      EXPECT_FALSE(engine.coreBudget().hasCoreSet());
+      EXPECT_EQ(stats.pinned_batches, 0u);
+      EXPECT_EQ(stats.pinned_threads, 0u);
+    }
   }
 }
 

@@ -51,48 +51,55 @@ TEST(SolverEngine, ServesSingleRequests) {
   for (auto& f : futures) EXPECT_EQ(f.get(), expected);
 }
 
+/// The upper input is reversed, then reordered: its coalesced batches
+/// cross a real permutation on the engine's tiled pack and unpack.
 TEST(SolverEngine, CoalescesStagedBacklogBitwise) {
   const auto lower = datagen::erdosRenyiLower({.n = 500, .p = 6e-3, .seed = 13});
-  auto solver = analyzeShared(lower, /*reorder=*/true);
-  const auto n = static_cast<size_t>(lower.rows());
+  for (const bool upper : {false, true}) {
+    SCOPED_TRACE(upper ? "upper" : "lower");
+    const CsrMatrix matrix = upper ? lower.transposed() : lower;
+    auto solver = analyzeShared(matrix, /*reorder=*/true);
+    const auto n = static_cast<size_t>(matrix.rows());
 
-  // Distinct RHS per request so coalesced columns are distinguishable.
-  constexpr int kRequests = 12;
-  std::vector<std::vector<double>> rhs;
-  std::vector<std::vector<double>> expected;
-  for (int r = 0; r < kRequests; ++r) {
-    const auto x = exec::referenceSolution(lower.rows(), 100 + r);
-    rhs.push_back(lower.multiply(x));
-    expected.emplace_back(n, 0.0);
-    solver->solve(rhs.back(), expected.back());
+    // Distinct RHS per request so coalesced columns are distinguishable.
+    constexpr int kRequests = 12;
+    std::vector<std::vector<double>> rhs;
+    std::vector<std::vector<double>> expected;
+    for (int r = 0; r < kRequests; ++r) {
+      const auto x = exec::referenceSolution(matrix.rows(), 100 + r);
+      rhs.push_back(matrix.multiply(x));
+      expected.emplace_back(n, 0.0);
+      solver->solve(rhs.back(), expected.back());
+    }
+
+    EngineOptions options;
+    options.num_workers = 1;
+    options.max_batch = 4;
+    options.start_paused = true;
+    SolverEngine engine(options);
+    const auto id = engine.registerSolver(solver);
+
+    std::vector<std::future<std::vector<double>>> futures;
+    for (const auto& b : rhs) futures.push_back(engine.submit(id, b));
+    engine.resume();
+    // Coalesced batch columns must be bitwise equal to individual solves.
+    for (int r = 0; r < kRequests; ++r) {
+      EXPECT_EQ(futures[static_cast<size_t>(r)].get(),
+                expected[static_cast<size_t>(r)]) << "request " << r;
+    }
+    engine.drain();
+
+    const auto stats = engine.stats(id);
+    EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
+    // The staged backlog must actually coalesce: 12 requests, batch budget 4.
+    EXPECT_EQ(stats.batches, 3u);
+    EXPECT_EQ(stats.coalesced_rhs, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(stats.tiled_batches, 3u);
+    EXPECT_DOUBLE_EQ(stats.mean_batch_rhs, 4.0);
+    EXPECT_GT(stats.latency_p50_seconds, 0.0);
+    EXPECT_GT(stats.throughput_rhs_per_second, 0.0);
   }
-
-  EngineOptions options;
-  options.num_workers = 1;
-  options.max_batch = 4;
-  options.start_paused = true;
-  SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& b : rhs) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  // Coalesced batch columns must be bitwise equal to individual solves.
-  for (int r = 0; r < kRequests; ++r) {
-    EXPECT_EQ(futures[static_cast<size_t>(r)].get(),
-              expected[static_cast<size_t>(r)]) << "request " << r;
-  }
-  engine.drain();
-
-  const auto stats = engine.stats(id);
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
-  // The staged backlog must actually coalesce: 12 requests, batch budget 4.
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.coalesced_rhs, static_cast<std::uint64_t>(kRequests));
-  EXPECT_DOUBLE_EQ(stats.mean_batch_rhs, 4.0);
-  EXPECT_GT(stats.latency_p50_seconds, 0.0);
-  EXPECT_GT(stats.throughput_rhs_per_second, 0.0);
 }
 
 /// The ISSUE acceptance stress: >= 8 concurrent solves through one engine

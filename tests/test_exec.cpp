@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "core/growlocal.hpp"
 #include "core/reorder.hpp"
 #include "dag/dag.hpp"
+#include "datagen/grids.hpp"
 #include "exec/bsp.hpp"
 #include "exec/p2p.hpp"
 #include "exec/serial.hpp"
@@ -207,6 +209,43 @@ TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[static_cast<size_t>(t)], 0) << "thread " << t;
   }
+}
+
+/// A team twice the machine's width leaves half the members descheduled
+/// at any moment. Waiters on their completion flags must yield to them
+/// rather than burn whole timeslices: the fastest of 11 oversubscribed
+/// solves stays within 20x the fastest serial one. Without the yield every
+/// solve stalls (over 1000x); best-of-11 keeps a machine loaded by other
+/// tests from failing the check.
+TEST(P2pExecutor, OversubscribedTeamStaysNearSerial) {
+  const int team =
+      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const auto lower = datagen::grid3dLaplacian7(30, 30, 30).lowerTriangle();
+  const Dag d = Dag::fromLowerTriangular(lower);
+  const auto spmp = baselines::spmpSchedule(d, {.num_cores = team});
+  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
+  const auto ctx = exec.createContext();
+  const auto b = rhsFor(lower, referenceSolution(lower.rows(), 97));
+  std::vector<double> expected(b.size(), 0.0), x(b.size(), 0.0);
+
+  auto seconds = [](auto&& solve) {
+    const auto t0 = std::chrono::steady_clock::now();
+    solve();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::vector<double> serial, p2p;
+  for (int rep = 0; rep < 11; ++rep) {
+    serial.push_back(seconds([&] { solveLowerSerial(lower, b, expected); }));
+    p2p.push_back(seconds([&] { exec.solve(b, x, *ctx, team); }));
+    ASSERT_EQ(x, expected) << "rep " << rep;
+  }
+  const double serial_best = *std::min_element(serial.begin(), serial.end());
+  const double p2p_best = *std::min_element(p2p.begin(), p2p.end());
+  EXPECT_LE(p2p_best, 20.0 * serial_best)
+      << "team " << team << ": fastest P2P " << p2p_best * 1e3
+      << " ms vs serial " << serial_best * 1e3 << " ms";
 }
 
 TEST(P2pExecutor, ReductionShrinksCrossDependencies) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -189,32 +190,123 @@ TEST(TriangularSolver, SolveMultiRhsMatchesIndependentSolves) {
   }
 }
 
-/// solvePermuted on manually permuted vectors must round-trip to exactly
-/// what solve() produces (solve() is the permute -> solvePermuted ->
-/// unpermute composition).
-TEST(TriangularSolver, SolvePermutedRoundTripMatchesSolve) {
-  const auto lower = datagen::bandedLower(500, 9, 0.5, 62);
+/// Every facade call that crosses the internal row order must equal the
+/// test's own serial crossing around the internal-order entries: gather b
+/// by permutation(), run solvePermuted (per column) or solveTiles, scatter
+/// x back. Bitwise, for both triangles (upper = reversal, then the
+/// schedule's reorder where one applies), three executors, uneven row
+/// partitions (n = 499 splits evenly across neither 3 nor 4 members), and
+/// both storages.
+const struct {
+  SchedulerKind kind;
+  bool reorder;
+  const char* name;
+} kCrossingConfigs[] = {
+    {SchedulerKind::kGrowLocal, true, "GrowLocalReorder"},
+    {SchedulerKind::kSpmp, true, "Spmp"},  // SpMP ignores reorder
+    {SchedulerKind::kWavefront, false, "Wavefront"},
+};
+
+/// (upper, config index, team — 0 meaning numThreads(), storage).
+using CrossingParam = std::tuple<bool, size_t, int, StorageKind>;
+
+class PermutationCrossing : public ::testing::TestWithParam<CrossingParam> {};
+
+TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
+  const auto [upper, config_idx, team_param, storage] = GetParam();
+  const auto& config = kCrossingConfigs[config_idx];
+  constexpr index_t kRows = 499;
+  constexpr index_t kNrhs = 7;  // tile width 3: two full tiles and a tail
+  const auto lower = datagen::bandedLower(kRows, 9, 0.5, 62);
+  const CsrMatrix matrix = upper ? lower.transposed() : lower;
   SolverOptions opts;
-  opts.num_threads = 2;
-  opts.reorder = true;
-  auto solver = TriangularSolver::analyze(lower, opts);
-  ASSERT_TRUE(solver.isPermuted());
+  opts.scheduler = config.kind;
+  opts.num_threads = 4;
+  opts.reorder = config.reorder;
+  opts.tile_cols = 3;
+  const auto solver = TriangularSolver::analyze(matrix, opts);
+  const int team = team_param == 0 ? solver.numThreads() : team_param;
+  const core::FoldPolicy policy = solver.options().fold_policy;
   const auto perm = solver.permutation();
-  const auto n = static_cast<size_t>(lower.rows());
+  const auto n = static_cast<size_t>(kRows);
+  const auto r = static_cast<size_t>(kNrhs);
+  auto ctx = solver.createContext();
 
-  const auto x_true = referenceSolution(lower.rows(), 63);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> x_direct(n, 0.0);
-  solver.solve(b, x_direct);
-
-  std::vector<double> b_perm(n), x_perm(n, 0.0), x_round(n, 0.0);
-  for (size_t i = 0; i < n; ++i) b_perm[i] = b[static_cast<size_t>(perm[i])];
-  solver.solvePermuted(b_perm, x_perm);
-  for (size_t i = 0; i < n; ++i) {
-    x_round[static_cast<size_t>(perm[i])] = x_perm[i];
+  // Reference, column by column: serial gather -> solvePermuted -> scatter.
+  std::vector<double> b(n * r), want(n * r);
+  std::vector<double> b_int(n), x_int(n);
+  for (size_t c = 0; c < r; ++c) {
+    const auto bc =
+        matrix.multiply(referenceSolution(kRows, 70 + static_cast<int>(c)));
+    for (size_t i = 0; i < n; ++i) b[i * r + c] = bc[i];
+    for (size_t i = 0; i < n; ++i) b_int[i] = bc[static_cast<size_t>(perm[i])];
+    solver.solvePermuted(b_int, x_int, *ctx, team, policy, storage);
+    for (size_t i = 0; i < n; ++i) {
+      want[static_cast<size_t>(perm[i]) * r + c] = x_int[i];
+    }
   }
-  EXPECT_EQ(x_direct, x_round);
+  // Tiled reference: serial gather + pack -> solveTiles -> unpack + scatter.
+  const TileLayout layout = solver.tileLayout(kNrhs);
+  ASSERT_EQ(layout.numTiles(), 3);
+  ASSERT_EQ(layout.tileWidth(2), 1);
+  std::vector<double> b_tiles(n * r), x_tiles(n * r), want_tiled(n * r);
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto w = static_cast<size_t>(layout.tileWidth(t));
+    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < w; ++c) {
+        b_tiles[layout.tileOffset(t) + i * w + c] =
+            b[static_cast<size_t>(perm[i]) * r + c0 + c];
+      }
+    }
+  }
+  solver.solveTiles(b_tiles, x_tiles, layout, *ctx, team, policy, storage);
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto w = static_cast<size_t>(layout.tileWidth(t));
+    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < w; ++c) {
+        want_tiled[static_cast<size_t>(perm[i]) * r + c0 + c] =
+            x_tiles[layout.tileOffset(t) + i * w + c];
+      }
+    }
+  }
+
+  SspOptions exact;
+  exact.staleness = 0;
+  std::vector<double> bc(n), x(n), x_stale(n), want_col(n);
+  for (size_t c = 0; c < r; ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      bc[i] = b[i * r + c];
+      want_col[i] = want[i * r + c];
+    }
+    solver.solve(bc, x, *ctx, team, policy, storage);
+    EXPECT_EQ(x, want_col) << "solve, column " << c;
+    solver.solveBoundedStale(bc, x_stale, exact, *ctx, team, policy, storage);
+    EXPECT_EQ(x_stale, want_col) << "solveBoundedStale, column " << c;
+  }
+  std::vector<double> x_multi(n * r), x_tiled(n * r);
+  solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team, policy, storage);
+  EXPECT_EQ(x_multi, want) << "solveMultiRhs";
+  solver.solveMultiRhsTiled(b, x_tiled, kNrhs, *ctx, team, policy, storage);
+  EXPECT_EQ(x_tiled, want_tiled) << "solveMultiRhsTiled";
 }
+
+std::string crossingName(const ::testing::TestParamInfo<CrossingParam>& info) {
+  const auto [upper, config_idx, team, storage] = info.param;
+  return std::string(upper ? "Upper" : "Lower") +
+         kCrossingConfigs[config_idx].name + "_team" +
+         (team == 0 ? std::string("Full") : std::to_string(team)) +
+         (storage == StorageKind::kSlab ? "_slab" : "_csr");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrianglesExecutorsTeamsStorages, PermutationCrossing,
+    ::testing::Combine(::testing::Bool(), ::testing::Range<size_t>(0, 3),
+                       ::testing::Values(1, 3, 0),
+                       ::testing::Values(StorageKind::kSharedCsr,
+                                         StorageKind::kSlab)),
+    crossingName);
 
 /// The SolveContext reentrancy contract at the facade level: concurrent
 /// solves with distinct contexts on one analyzed solver are safe and
