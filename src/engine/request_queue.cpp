@@ -156,14 +156,18 @@ bool RequestQueue::closed() const {
   return closed_;
 }
 
-std::vector<SolveRequest> RequestQueue::drainAll() {
+std::vector<SolveRequest> RequestQueue::closeAndDrain() {
   std::vector<SolveRequest> out;
-  base::MutexLock lock(mu_);
-  out.reserve(latency_q_.size() + throughput_q_.size());
-  for (auto& request : latency_q_) out.push_back(std::move(request));
-  for (auto& request : throughput_q_) out.push_back(std::move(request));
-  latency_q_.clear();
-  throughput_q_.clear();
+  {
+    base::MutexLock lock(mu_);
+    closed_ = true;
+    out.reserve(latency_q_.size() + throughput_q_.size());
+    for (auto& request : latency_q_) out.push_back(std::move(request));
+    for (auto& request : throughput_q_) out.push_back(std::move(request));
+    latency_q_.clear();
+    throughput_q_.clear();
+  }
+  cv_.notify_all();
   return out;
 }
 

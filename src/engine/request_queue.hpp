@@ -93,10 +93,12 @@ class RequestQueue {
   void close();
   bool closed() const;
 
-  /// Remove and return EVERYTHING still queued (both classes, FIFO within
-  /// class, latency first). The fail-fast shutdown path: the caller
-  /// resolves the futures with EngineError{kShutdown}.
-  std::vector<SolveRequest> drainAll();
+  /// Close, then remove and return EVERYTHING still queued (both classes,
+  /// FIFO within class, latency first), under one lock: a worker that the
+  /// close wakes (closing ignores pause) finds the queue already empty. The
+  /// fail-fast shutdown path: the caller resolves the futures with
+  /// EngineError{kShutdown}.
+  std::vector<SolveRequest> closeAndDrain();
 
   std::size_t size() const;
 

@@ -230,6 +230,8 @@ SolverId SolverEngine::registerSolver(
       &metrics_.histogram(solverMetric(id, "refine_iterations"));
   reg->ssp_fallbacks_counter =
       &metrics_.counter(solverMetric(id, "ssp_fallbacks"));
+  reg->staging_bytes_gauge =
+      &metrics_.gauge(solverMetric(id, "staging_bytes"));
   solvers_.push_back(std::move(reg));
   return id;
 }
@@ -294,7 +296,7 @@ void SolverEngine::rejectRequest(SolveRequest&& request, Registered& reg,
 }
 
 void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
-  const SolverId id = request.solver;
+  [[maybe_unused]] const SolverId id = request.solver;  // trace args only
   const sts::index_t nrhs = request.nrhs;
   const auto submitted = request.submitted;
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -401,12 +403,12 @@ void SolverEngine::shutdown() {
 }
 
 void SolverEngine::stop() {
-  queue_.close();
   // Fail-fast the backlog BEFORE joining: a paused engine's workers are
-  // parked in popBatch and will wake from close() to an empty queue.
-  // Requests a worker pops concurrently simply execute — each request
-  // goes exactly one way.
-  auto queued = queue_.drainAll();
+  // parked in popBatch and wake from the close to an empty queue, because
+  // closing and draining are one step under the queue lock. Requests a
+  // worker popped before it simply execute — each request goes exactly
+  // one way.
+  auto queued = queue_.closeAndDrain();
   for (auto& request : queued) {
     Registered& reg = registered(request.solver);
     {
@@ -650,7 +652,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   ssp_opts.max_refinements = options_.stale_max_refine;
   exec::SspResult ssp_result;
 
-  std::vector<std::vector<double>> results;
   std::exception_ptr error;
   // Per-batch attribution sink: the executor threads' StepTracers flush
   // their compute/wait nanoseconds here (EngineOptions::trace); aggregated
@@ -670,54 +671,27 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
           {cores.cores().begin(), cores.cores().end()});
     }
     if (options_.trace) lease.context().setTrace(&batch_trace);
-    if (k == 1) {
-      SolveRequest& request = batch.front();
-      total_rhs = request.nrhs;
-      std::vector<double> x(request.b.size());
-      {
-        STS_TRACE_SPAN1("engine", "solve", "team", team);
-        if (bounded_stale) {
-          ssp_result = request.nrhs == 1
-                           ? solver.solveBoundedStale(request.b, x, ssp_opts,
-                                                      lease.context(), team,
-                                                      fold_policy, storage)
-                           : solver.solveBoundedStaleMultiRhs(
-                                 request.b, x, request.nrhs, ssp_opts,
-                                 lease.context(), team, fold_policy, storage);
-        } else if (request.nrhs == 1) {
-          solver.solve(request.b, x, lease.context(), team, fold_policy,
-                       storage);
-        } else if (options_.tiled) {
-          // A lone multi-RHS request still gains the tiled layout (the
-          // solver permutes and packs in one gather pass internally).
-          tiled_batch = true;
-          solver.solveMultiRhsTiled(request.b, x, request.nrhs,
-                                    lease.context(), team, fold_policy,
-                                    storage);
-        } else {
-          solver.solveMultiRhs(request.b, x, request.nrhs, lease.context(),
-                               team, fold_policy, storage);
-        }
-      }
-      results.push_back(std::move(x));
-    } else if (options_.tiled && !bounded_stale) {
-      // Coalesced batch, tiled layout: the k request vectors are gathered
-      // DIRECTLY into the solver's cache-sized column tiles in its internal
-      // order — no intermediate row-major staging matrix — solved via the
-      // zero-copy solveTiles entry, then gathered back into the
-      // per-request results. Both passes run on the batch's leased team.
+    // Every answer travels home in its request's own b vector, which the
+    // resolution below moves into the response.
+    if (!bounded_stale && batch.front().nrhs == 1) {
+      // Exact single-RHS batch, k = 1 included: the k request vectors are
+      // gathered straight into the lease's pooled staging tiles in the
+      // solver's internal order, solved there (a one-column layout runs
+      // the vector kernel), and gathered back into each request's b once
+      // the pack has consumed it. Both passes run on the batch's leased
+      // team, and nothing that grows with n is allocated once the pool's
+      // tiles are sized.
       total_rhs = static_cast<sts::index_t>(k);
-      tiled_batch = true;
-      const exec::TileLayout layout =
-          solver.tileLayout(static_cast<sts::index_t>(k));
-      std::vector<double> b_tiled(n * k);
-      std::vector<double> x_tiled(n * k);
+      tiled_batch = k > 1;
+      const exec::TileLayout layout = solver.tileLayout(total_rhs);
+      const auto b_tiles = lease.bTiles(layout.totalDoubles());
+      const auto x_tiles = lease.xTiles(layout.totalDoubles());
       {
         STS_TRACE_SPAN1("engine", "pack", "rhs", k);
         const auto p0 = std::chrono::steady_clock::now();
         std::vector<std::span<const double>> b(k);
         for (std::size_t j = 0; j < k; ++j) b[j] = batch[j].b;
-        solver.packTiles(b, b_tiled, layout, lease.context(), team);
+        solver.packTiles(b, b_tiles, layout, lease.context(), team);
         pack_elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           p0)
@@ -725,27 +699,51 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        solver.solveTiles(b_tiled, x_tiled, layout, lease.context(), team,
+        solver.solveTiles(b_tiles, x_tiles, layout, lease.context(), team,
                           fold_policy, storage);
       }
       {
         STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
         const auto u0 = std::chrono::steady_clock::now();
-        results.resize(k);
         std::vector<std::span<double>> x(k);
-        for (std::size_t j = 0; j < k; ++j) {
-          results[j].resize(n);
-          x[j] = results[j];
-        }
-        solver.unpackTiles(x_tiled, x, layout, lease.context(), team);
+        for (std::size_t j = 0; j < k; ++j) x[j] = batch[j].b;
+        solver.unpackTiles(x_tiles, x, layout, lease.context(), team);
         unpack_elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           u0)
                 .count();
       }
+    } else if (k == 1) {
+      // A lone multi-RHS request, or a lone bounded-stale one: solved into
+      // a fresh result that then replaces its b.
+      SolveRequest& request = batch.front();
+      total_rhs = request.nrhs;
+      std::vector<double> x(request.b.size());
+      {
+        STS_TRACE_SPAN1("engine", "solve", "team", team);
+        if (!bounded_stale) {
+          // The solver permutes and packs the tiles in one gather pass.
+          tiled_batch = true;
+          solver.solveMultiRhsTiled(request.b, x, request.nrhs,
+                                    lease.context(), team, fold_policy,
+                                    storage);
+        } else if (request.nrhs == 1) {
+          ssp_result =
+              solver.solveBoundedStale(request.b, x, ssp_opts, lease.context(),
+                                       team, fold_policy, storage);
+        } else {
+          ssp_result = solver.solveBoundedStaleMultiRhs(
+              request.b, x, request.nrhs, ssp_opts, lease.context(), team,
+              fold_policy, storage);
+        }
+      }
+      request.b = std::move(x);
     } else {
-      // Coalesced batch: k single-RHS requests become the k columns of one
-      // row-major n x k SpTRSM — one schedule traversal for all of them.
+      // Coalesced bounded-stale batch: k single-RHS requests become the k
+      // columns of one row-major n x k SpTRSM — one schedule traversal for
+      // all of them. It stays row-major: the SSP multi-RHS kernels read
+      // whole dropped entries per row, which the column tiling would split
+      // across sweeps.
       total_rhs = static_cast<sts::index_t>(k);
       std::vector<double> b_packed(n * k);
       std::vector<double> x_packed(n * k);
@@ -763,25 +761,14 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        if (bounded_stale) {
-          // Bounded-stale batches stay row-major: the SSP multi-RHS
-          // kernels read whole dropped entries per row, which the column
-          // tiling would split across sweeps.
-          ssp_result = solver.solveBoundedStaleMultiRhs(
-              b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
-              lease.context(), team, fold_policy, storage);
-        } else {
-          solver.solveMultiRhs(b_packed, x_packed,
-                               static_cast<sts::index_t>(k), lease.context(),
-                               team, fold_policy, storage);
-        }
+        ssp_result = solver.solveBoundedStaleMultiRhs(
+            b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
+            lease.context(), team, fold_policy, storage);
       }
       STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
       const auto u0 = std::chrono::steady_clock::now();
-      results.resize(k);
       for (std::size_t j = 0; j < k; ++j) {
-        auto& x = results[j];
-        x.resize(n);
+        auto& x = batch[j].b;
         for (std::size_t i = 0; i < n; ++i) x[i] = x_packed[i * k + j];
       }
       unpack_elapsed =
@@ -822,7 +809,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     if (error) {
       batch[j].fail(error);
     } else {
-      batch[j].resolve(std::move(results[j]), degrade);
+      batch[j].resolve(std::move(batch[j].b), degrade);
     }
   }
 
@@ -860,6 +847,10 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   reg.busy_seconds += batch_seconds;
   reg.pack_seconds += pack_elapsed;
   reg.unpack_seconds += unpack_elapsed;
+  // Under stats_mu, so the last batch to finish publishes a total that
+  // includes every earlier batch's growth.
+  reg.staging_bytes_gauge->set(
+      static_cast<double>(reg.contexts->stagingBytes()));
   reg.last_complete = t1;
   reg.saw_complete = true;
   if (error) {

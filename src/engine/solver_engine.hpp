@@ -38,11 +38,12 @@
 ///    OpenMP team, so distinct workers can solve concurrently against the
 ///    same analyzed schedule.
 ///  * Compatible queued single-RHS requests for one solver coalesce into a
-///    single solveMultiRhs batch of up to `max_batch` columns: one
-///    schedule traversal — one barrier crossing per superstep — serves the
-///    whole batch (the Table 7.7 block-parallel amortization applied to
-///    serving). Column results are bitwise equal to individual solve()
-///    calls, so coalescing is invisible to clients.
+///    single batch of up to `max_batch` columns: one schedule traversal —
+///    one barrier crossing per superstep — serves the whole batch (the
+///    Table 7.7 block-parallel amortization applied to serving). Column
+///    results are bitwise equal to individual solve() calls, so coalescing
+///    is invisible to clients, and each answer comes back in the vector
+///    its right-hand side was submitted in.
 ///  * Reentrancy comes from the SolveContext contract (solve_context.hpp):
 ///    every in-flight batch leases a context from a per-solver
 ///    ContextPool; the solver itself is shared immutable state.
@@ -82,8 +83,10 @@
 ///    serving, where the surrounding Krylov loop absorbs a bounded
 ///    residual. Refinement counts, fallbacks, and the last residual land
 ///    in SolverServingStats and the metrics registry. Tiers compose with
-///    elasticity, budgeting, pinning, and storage; `tiled` stays an
-///    exact-tier layout (bounded-stale batches run row-major).
+///    elasticity, budgeting, pinning, and storage. Exact-tier single-RHS
+///    batches, k = 1 included, run packTiles → solveTiles → unpackTiles
+///    through the leased context's pooled staging tiles; bounded-stale
+///    batches run the row-major SSP path on per-batch buffers.
 ///  * Per-solver throughput/latency statistics aggregate via the
 ///    harness::stats quantile helpers (SolverServingStats).
 ///  * Request lifecycle (PR 10, docs/ROBUSTNESS.md): the SubmitOptions
@@ -129,8 +132,10 @@ class SolverEngine {
   /// concurrent with serving). Thread-safe.
   SolverId registerSolver(std::shared_ptr<const exec::TriangularSolver> solver);
 
-  /// Queue x = T^{-1} b (original row ordering). Throws std::invalid_argument
-  /// on size mismatch or unknown id, std::runtime_error after shutdown.
+  /// Queue x = T^{-1} b (original row ordering). On the exact tier the
+  /// answer is written into b's own buffer, so a caller that moves b in
+  /// gets that buffer back. Throws std::invalid_argument on size mismatch
+  /// or unknown id, std::runtime_error after shutdown.
   std::future<std::vector<double>> submit(SolverId id, std::vector<double> b);
 
   /// Queue an explicit multi-RHS solve, b row-major n x nrhs; the future
@@ -237,6 +242,9 @@ class SolverEngine {
     /// batch plus fallback count (zero on exact-tier engines).
     obs::Histogram* refine_hist = nullptr;
     obs::Counter* ssp_fallbacks_counter = nullptr;
+    /// Bytes the pool's staging tiles hold (ContextPool::stagingBytes),
+    /// refreshed after every batch.
+    obs::Gauge* staging_bytes_gauge = nullptr;
 
     /// The SLO controller's current team choice (0 = unset, meaning the
     /// base width). Cold-started by seedTeam at registration when

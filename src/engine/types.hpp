@@ -149,8 +149,7 @@ struct SolveResponse {
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
 /// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
 /// | `storage` (engine or solver) | WHAT memory layout the hot loop walks | engine `storage` overrides each solver's `SolverOptions::storage` when set; kSlab streams per-(team, policy) thread-local packed records, kSharedCsr walks the analyzed CSR. Layout only — results stay bitwise identical |
-/// | `tiled`                | HOW multi-RHS batches are laid out | on (default): coalesced batches pack straight into the solver's cache-sized column tiles (exec/tile.hpp) and run the tiled executor path — register-blocked CSR kernels, L2-resident RHS. off: the row-major solveMultiRhs path. Layout only — results stay bitwise identical; composes with every row above (`storage` picks the matrix side, `tiled` the RHS side) |
-/// | `tier`                 | WHICH numerical contract batches satisfy | kExact (default): bitwise-deterministic direct solves. kBoundedStale: SSP sweeps with `stale_supersteps` relaxed barriers + residual-checked refinement to `stale_tolerance` (cap `stale_max_refine`, then exact fallback). Composes with every row above — elasticity, budget, pinning, and storage apply unchanged; `tiled` applies to the exact tier only (bounded-stale batches run the row-major SSP path). Refinement counts/residuals land in SolverServingStats and the metrics registry |
+/// | `tier`                 | WHICH numerical contract batches satisfy | kExact (default): bitwise-deterministic direct solves. kBoundedStale: SSP sweeps with `stale_supersteps` relaxed barriers + residual-checked refinement to `stale_tolerance` (cap `stale_max_refine`, then exact fallback). Composes with every row above — elasticity, budget, pinning, and storage apply unchanged; exact-tier batches run on the solver's RHS column tiles, bounded-stale batches on the row-major SSP path. Refinement counts/residuals land in SolverServingStats and the metrics registry |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
 /// | `overload_control`     | WHETHER the degradation ladder runs | off (default): the configured `tier` serves every batch, nothing is rejected by pressure. on: an `OverloadController` (hysteresis like the SLO controller) estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait) and walks exact -> bounded-stale precision shedding (staleness/tolerance raised per rung, surfaced per-response in `DegradeInfo`) -> reject new throughput-class work at the top rung. Composes with `tier`: a kBoundedStale engine degrades FROM its configured staleness. Every transition is a trace instant + registry counters (`sts.engine.admitted/degraded/rejected/expired`) |
 /// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
@@ -166,9 +165,11 @@ struct EngineOptions {
   /// batch additionally spins up the solver's own OpenMP team, so the
   /// total thread footprint is num_workers * solver num_threads.
   int num_workers = 2;
-  /// Maximum right-hand sides coalesced into one solveMultiRhs call. The
-  /// batch amortizes every superstep barrier across its columns (the
-  /// Table 7.7 block-parallel effect applied to serving).
+  /// Maximum right-hand sides coalesced into one batch solve. The batch
+  /// amortizes every superstep barrier across its columns (the Table 7.7
+  /// block-parallel effect applied to serving); each pooled context's
+  /// staging tiles grow to at most 2 x n x max_batch doubles (twice that
+  /// with `adaptive_batch`).
   sts::index_t max_batch = 8;
   /// Coalesce compatible queued single-RHS requests into batches. When
   /// false every request executes alone (useful to force per-request
@@ -242,16 +243,6 @@ struct EngineOptions {
   /// `elastic`; off by default because it doubles the per-batch staging
   /// memory and coalesced-request latency envelope `max_batch` implies.
   bool adaptive_batch = false;
-  /// Execute multi-RHS batches through the tiled path: requests are packed
-  /// DIRECTLY into the solver's cache-sized column tiles (exec/tile.hpp) by
-  /// TriangularSolver::packTiles — one parallel gather into the internal
-  /// row order, no intermediate row-major staging — solved via solveTiles,
-  /// then gathered back into the per-request result vectors by
-  /// unpackTiles. Single-RHS batches are unaffected
-  /// (one column is its own tile). Pure layout choice — bitwise identical
-  /// results; tiled batches count in SolverServingStats::tiled_batches and
-  /// the pack/unpack passes in pack_seconds / unpack_seconds.
-  bool tiled = true;
   /// The numerical contract every batch satisfies (see ServiceTier): the
   /// exact executors, or the bounded-stale SSP path with the three
   /// `stale_*` knobs below. A per-engine choice — register the same
@@ -303,7 +294,10 @@ struct EngineOptions {
 };
 
 /// One queued solve. `b` is row-major n x nrhs in the ORIGINAL row
-/// ordering; the fulfilled future carries x in the same layout. Exactly
+/// ordering; the fulfilled future carries x in the same layout. The engine
+/// leaves the answer in `b` and moves it into the future, and an
+/// exact-tier single-RHS batch writes it into b's own buffer, so that
+/// answer comes back in the very buffer the caller submitted. Exactly
 /// one of the two promises is armed: the legacy vector promise for the
 /// plain submit() overloads, the SolveResponse promise (extended == true)
 /// for the SubmitOptions overloads — either way the engine resolves it
@@ -375,15 +369,20 @@ struct SolverServingStats {
   /// Batches executed on the slab (thread-local packed) storage layout —
   /// EngineOptions::storage override or the solver's own default.
   std::uint64_t slab_batches = 0;
-  /// Multi-RHS batches executed through the tiled layout
-  /// (EngineOptions::tiled): packed straight into column tiles and solved
-  /// via solveTiles.
+  /// Exact-tier multi-RHS batches, all run on the solver's column tiles: a
+  /// coalesced batch of k > 1 requests (packed into pooled staging tiles
+  /// and solved via solveTiles) or a lone submitMulti request
+  /// (solveMultiRhsTiled). Single-column batches do not count.
   std::uint64_t tiled_batches = 0;
   /// Summed wall time spent packing request vectors into the batch layout
-  /// (row-major or tiled) before the solve, per solver.
+  /// before the solve, per solver: the staging tiles of every exact-tier
+  /// single-RHS batch (k = 1 included), or the row-major matrix of a
+  /// coalesced bounded-stale batch. Lone multi-RHS and lone bounded-stale
+  /// requests are permuted inside the solve and add nothing here.
   double pack_seconds = 0.0;
-  /// Summed wall time spent unpacking the solved batch back into
-  /// per-request result vectors.
+  /// Summed wall time spent unpacking the solved batch back into the
+  /// requests' own b vectors, which then carry the answers; same batches
+  /// as pack_seconds.
   double unpack_seconds = 0.0;
   /// The SLO controller's cold-start team: seeded at registerSolver time
   /// from the analyze-time cost model (a probe solve scaled by folded
@@ -443,8 +442,8 @@ struct TraceSummaryRow {
   double compute_seconds = 0.0;    ///< summed per-thread compute time
   double wait_seconds = 0.0;       ///< summed barrier/p2p wait time
   /// Engine-side RHS staging cost of these batches (the pack into the
-  /// batch layout and the unpack back into per-request vectors) — the copy
-  /// overhead the tiled direct-pack path exists to shrink.
+  /// batch layout and the unpack back into the requests' vectors; see
+  /// SolverServingStats::pack_seconds).
   double pack_seconds = 0.0;
   double unpack_seconds = 0.0;
   /// Longest single barrier/p2p wait any thread saw (straggler signal).

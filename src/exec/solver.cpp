@@ -468,6 +468,14 @@ void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
                                   int threads, core::FoldPolicy policy,
                                   StorageKind storage) const {
+  if (layout.cols() == 1) {
+    // A width-1 tile is the internal-order vector itself: the vector
+    // kernel beats the register-blocked tiled one at a single column.
+    requireTileShapes(n_, layout, b_tiled, x_tiled,
+                      "TriangularSolver::solveTiles");
+    solvePermuted(b_tiled, x_tiled, ctx, threads, policy, storage);
+    return;
+  }
   const int team = clampTeam(threads);
   if (contiguous_) {
     contiguous_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team,

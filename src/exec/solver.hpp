@@ -232,7 +232,9 @@ class TriangularSolver {
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row
   /// order. The serving engine fills b_tiled with packTiles and reads
-  /// x_tiled back with unpackTiles, with no row-major staging matrix.
+  /// x_tiled back with unpackTiles, with no row-major staging matrix. A
+  /// one-column layout is the internal-order vector and runs solvePermuted,
+  /// whose vector kernel beats the tiled one at nrhs = 1.
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
                   const TileLayout& layout, SolveContext& ctx, int threads,
                   core::FoldPolicy policy, StorageKind storage) const;

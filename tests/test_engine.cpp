@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,7 +54,9 @@ TEST(SolverEngine, ServesSingleRequests) {
 }
 
 /// The upper input is reversed, then reordered: its coalesced batches
-/// cross a real permutation on the engine's tiled pack and unpack.
+/// cross a real permutation on the engine's tiled pack and unpack. Every
+/// answer, coalesced or single, comes back in the vector its right-hand
+/// side was submitted in.
 TEST(SolverEngine, CoalescesStagedBacklogBitwise) {
   const auto lower = datagen::erdosRenyiLower({.n = 500, .p = 6e-3, .seed = 13});
   for (const bool upper : {false, true}) {
@@ -63,9 +67,10 @@ TEST(SolverEngine, CoalescesStagedBacklogBitwise) {
 
     // Distinct RHS per request so coalesced columns are distinguishable.
     constexpr int kRequests = 12;
+    constexpr int kSecondRound = 5;  // one batch of 4, then one of 1
     std::vector<std::vector<double>> rhs;
     std::vector<std::vector<double>> expected;
-    for (int r = 0; r < kRequests; ++r) {
+    for (int r = 0; r < kRequests + kSecondRound; ++r) {
       const auto x = exec::referenceSolution(matrix.rows(), 100 + r);
       rhs.push_back(matrix.multiply(x));
       expected.emplace_back(n, 0.0);
@@ -79,27 +84,99 @@ TEST(SolverEngine, CoalescesStagedBacklogBitwise) {
     SolverEngine engine(options);
     const auto id = engine.registerSolver(solver);
 
-    std::vector<std::future<std::vector<double>>> futures;
-    for (const auto& b : rhs) futures.push_back(engine.submit(id, b));
-    engine.resume();
-    // Coalesced batch columns must be bitwise equal to individual solves.
-    for (int r = 0; r < kRequests; ++r) {
-      EXPECT_EQ(futures[static_cast<size_t>(r)].get(),
-                expected[static_cast<size_t>(r)]) << "request " << r;
-    }
-    engine.drain();
+    // Stages requests [first, last) on the paused engine, releases them,
+    // and checks each answer: bitwise equal to the facade solve, in the
+    // very buffer the right-hand side was moved into submit() with.
+    const auto serveStaged = [&](int first, int last) {
+      std::vector<std::future<std::vector<double>>> futures;
+      std::vector<const double*> buffers;
+      for (int r = first; r < last; ++r) {
+        std::vector<double> b = rhs[static_cast<size_t>(r)];
+        buffers.push_back(b.data());
+        futures.push_back(engine.submit(id, std::move(b)));
+      }
+      engine.resume();
+      for (int r = first; r < last; ++r) {
+        const auto j = static_cast<size_t>(r - first);
+        const std::vector<double> x = futures[j].get();
+        EXPECT_EQ(x, expected[static_cast<size_t>(r)]) << "request " << r;
+        EXPECT_EQ(x.data(), buffers[j]) << "request " << r;
+      }
+      engine.drain();
+    };
+    serveStaged(0, kRequests);
+    // The staged backlog must actually coalesce: 12 requests, batch budget 4.
+    EXPECT_EQ(engine.stats(id).batches, 3u);
+
+    // Second round on the same engine: the staging tiles a batch of 4
+    // sized now serve a batch of 1 without being cleared.
+    engine.pause();
+    serveStaged(kRequests, kRequests + kSecondRound);
 
     const auto stats = engine.stats(id);
-    EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
-    // The staged backlog must actually coalesce: 12 requests, batch budget 4.
-    EXPECT_EQ(stats.batches, 3u);
-    EXPECT_EQ(stats.coalesced_rhs, static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(stats.tiled_batches, 3u);
-    EXPECT_DOUBLE_EQ(stats.mean_batch_rhs, 4.0);
+    constexpr auto kTotal =
+        static_cast<std::uint64_t>(kRequests + kSecondRound);
+    EXPECT_EQ(stats.requests, kTotal);
+    EXPECT_EQ(stats.rhs_solved, kTotal);
+    EXPECT_EQ(stats.batches, 5u);
+    EXPECT_EQ(stats.coalesced_rhs, kTotal - 1);  // all but the lone one
+    EXPECT_EQ(stats.tiled_batches, 4u);          // multi-RHS batches only
+    EXPECT_DOUBLE_EQ(stats.mean_batch_rhs, 17.0 / 5.0);
     EXPECT_GT(stats.latency_p50_seconds, 0.0);
     EXPECT_GT(stats.throughput_rhs_per_second, 0.0);
   }
+}
+
+/// One gauge's value from the engine registry's text export.
+double gaugeValue(const SolverEngine& engine, const std::string& name) {
+  const std::string text = engine.metrics().renderText();
+  const auto pos = text.find(name + ' ');
+  if (pos == std::string::npos) {
+    ADD_FAILURE() << "no gauge " << name;
+    return -1.0;
+  }
+  return std::strtod(text.c_str() + pos + name.size() + 1, nullptr);
+}
+
+/// The pooled staging tiles are sized by the first burst and reused by the
+/// next: the bytes they hold do not grow when the same staged burst is
+/// served again, and stay within pooled contexts x 2 tiles x n x max_batch
+/// doubles.
+TEST(SolverEngine, StagingBytesGaugeIsBoundedAndStable) {
+  const auto lower = datagen::bandedLower(400, 8, 0.5, 15);
+  auto solver = analyzeShared(lower, /*reorder=*/true);
+  const auto n = static_cast<size_t>(lower.rows());
+  const auto b = lower.multiply(exec::referenceSolution(lower.rows(), 16));
+  std::vector<double> expected(n);
+  solver->solve(b, expected);
+
+  EngineOptions options;
+  options.num_workers = 1;  // one batch at a time: one pooled context
+  options.max_batch = 4;
+  options.start_paused = true;
+  SolverEngine engine(options);
+  const auto id = engine.registerSolver(solver);
+  const std::string gauge =
+      "sts.solver" + std::to_string(id) + ".staging_bytes";
+
+  // Ten staged requests: batches of 4, 4 and 2.
+  const auto burst = [&] {
+    std::vector<std::future<std::vector<double>>> futures;
+    for (int r = 0; r < 10; ++r) futures.push_back(engine.submit(id, b));
+    engine.resume();
+    for (auto& f : futures) EXPECT_EQ(f.get(), expected);
+    engine.drain();
+    engine.pause();
+    return gaugeValue(engine, gauge);
+  };
+  const double first = burst();
+  const double second = burst();
+  const double bound = static_cast<double>(options.num_workers) * 2.0 *
+                       static_cast<double>(n) *
+                       static_cast<double>(options.max_batch) * sizeof(double);
+  EXPECT_GT(first, 0.0);
+  EXPECT_LE(second, first);
+  EXPECT_LE(second, bound);
 }
 
 /// The ISSUE acceptance stress: >= 8 concurrent solves through one engine

@@ -277,6 +277,9 @@ TEST(OverloadEngine, PressureShedsPrecisionAndReportsDegradeInfo) {
               response.degrade.tolerance);
   }
   EXPECT_GT(degraded, 0);
+  // A batch resolves its futures before it books its stats; drain() waits
+  // for the booking too.
+  engine.drain();
   const auto stats = engine.stats(id);
   EXPECT_GT(stats.degraded_batches, 0u);
   EXPECT_EQ(stats.rejected_requests, 1u);

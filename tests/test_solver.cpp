@@ -274,7 +274,9 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
 
   SspOptions exact;
   exact.staleness = 0;
-  std::vector<double> bc(n), x(n), x_stale(n), want_col(n);
+  // A one-column layout is the internal-order vector itself.
+  const TileLayout one_column = solver.tileLayout(1);
+  std::vector<double> bc(n), x(n), x_stale(n), want_col(n), x_one(n);
   for (size_t c = 0; c < r; ++c) {
     for (size_t i = 0; i < n; ++i) {
       bc[i] = b[i * r + c];
@@ -282,6 +284,14 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
     }
     solver.solve(bc, x, *ctx, team, policy, storage);
     EXPECT_EQ(x, want_col) << "solve, column " << c;
+    for (size_t i = 0; i < n; ++i) {
+      b_int[i] = bc[static_cast<size_t>(perm[i])];
+    }
+    solver.solveTiles(b_int, x_int, one_column, *ctx, team, policy, storage);
+    for (size_t i = 0; i < n; ++i) {
+      x_one[static_cast<size_t>(perm[i])] = x_int[i];
+    }
+    EXPECT_EQ(x_one, want_col) << "solveTiles, one column, column " << c;
     solver.solveBoundedStale(bc, x_stale, exact, *ctx, team, policy, storage);
     EXPECT_EQ(x_stale, want_col) << "solveBoundedStale, column " << c;
   }

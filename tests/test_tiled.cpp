@@ -340,7 +340,6 @@ TEST(TiledEngine, PacksBatchesIntoTilesBitwiseWithStats) {
   opts.num_workers = 2;
   opts.max_batch = 4;
   opts.start_paused = true;  // coalesce: batches arrive with k > 1
-  ASSERT_TRUE(opts.tiled);   // the default path under test
   engine::SolverEngine engine(opts);
   const auto id = engine.registerSolver(solver);
   std::vector<std::future<std::vector<double>>> futures;
@@ -370,20 +369,6 @@ TEST(TiledEngine, PacksBatchesIntoTilesBitwiseWithStats) {
   EXPECT_EQ(fut.get(), xm_ref);
   engine.drain();
   EXPECT_GT(engine.stats(id).tiled_batches, before);
-
-  // Opting out serves the same bits through the legacy scatter path.
-  engine::EngineOptions untiled_opts = opts;
-  untiled_opts.tiled = false;
-  engine::SolverEngine untiled_engine(untiled_opts);
-  const auto uid = untiled_engine.registerSolver(solver);
-  std::vector<std::future<std::vector<double>>> ufutures;
-  for (const auto& b : rhs) ufutures.push_back(untiled_engine.submit(uid, b));
-  untiled_engine.resume();
-  for (size_t j = 0; j < ufutures.size(); ++j) {
-    EXPECT_EQ(ufutures[j].get(), expected[j]) << "request " << j;
-  }
-  untiled_engine.drain();
-  EXPECT_EQ(untiled_engine.stats(uid).tiled_batches, 0u);
 }
 
 TEST(TiledCore, FoldAwareGrowLocalNeverLosesOnFoldedCost) {
