@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/wavefront.hpp"
 #include "dag/dag.hpp"
 #include "dag/wavefronts.hpp"
+#include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
+#include "sparse/ic0.hpp"
+#include "sparse/ordering.hpp"
 #include "test_util.hpp"
 
 namespace sts::core {
@@ -162,6 +167,63 @@ TEST(GrowLocal, SyncCostLScaling) {
   EXPECT_TRUE(validateSchedule(d, s_small).ok);
   EXPECT_TRUE(validateSchedule(d, s_large).ok);
   EXPECT_LE(s_large.numSupersteps(), s_small.numSupersteps() + 1);
+}
+
+/// FNV-1a over the core map, the execution order and the group boundaries:
+/// one number that moves if any vertex lands on another core, superstep or
+/// position.
+std::uint64_t scheduleDigest(const Schedule& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::int64_t value) {
+    h ^= static_cast<std::uint64_t>(value);
+    h *= 1099511628211ull;
+  };
+  for (const int c : s.cores()) mix(c);
+  for (const index_t v : s.executionOrder()) mix(v);
+  for (const offset_t g : s.groupPtr()) mix(g);
+  return h;
+}
+
+TEST(GrowLocal, SchedulesArePinned) {
+  // Superstep counts and digests recorded from the min-heap ready pool;
+  // any change to the pool or trial machinery must reproduce them bit for
+  // bit. None of these inputs draws random numbers, so the values do not
+  // depend on the standard library's distributions.
+  const sparse::CsrMatrix lap7 = datagen::grid3dLaplacian7(42, 42, 42);
+  const auto rcm = sparse::reverseCuthillMcKee(lap7);
+  struct Input {
+    const char* name;
+    sparse::CsrMatrix lower;
+  };
+  const std::vector<Input> inputs = {
+      {"grid2d_5pt_280", datagen::grid2dLaplacian5(280, 280).lowerTriangle()},
+      {"grid3d_7pt_42", lap7.lowerTriangle()},
+      {"grid3d_7pt_42_rcm_ic0",
+       sparse::incompleteCholesky(lap7.symmetricPermuted(rcm)).lower},
+  };
+  struct Pinned {
+    index_t supersteps;
+    std::uint64_t digest;
+  };
+  // [input][coalesce_supersteps ? 0 : 1]
+  const Pinned pinned[3][2] = {
+      {{117, 11085755353217079153ull}, {161, 2787086939666189985ull}},
+      {{55, 6362248434856468845ull}, {57, 5850773072089654569ull}},
+      {{37, 13605733005056590037ull}, {37, 13605733005056590037ull}},
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Dag d = Dag::fromLowerTriangular(inputs[i].lower);
+    for (const bool coalesce : {true, false}) {
+      GrowLocalOptions opts{.num_cores = 4};
+      opts.coalesce_supersteps = coalesce;
+      const Schedule s = growLocalSchedule(d, opts);
+      const Pinned& want = pinned[i][coalesce ? 0 : 1];
+      EXPECT_EQ(s.numSupersteps(), want.supersteps)
+          << inputs[i].name << " coalesce=" << coalesce;
+      EXPECT_EQ(scheduleDigest(s), want.digest)
+          << inputs[i].name << " coalesce=" << coalesce;
+    }
+  }
 }
 
 }  // namespace
