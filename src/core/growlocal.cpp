@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -12,7 +13,8 @@ namespace sts::core {
 namespace {
 
 /// Min-heap of vertex IDs with an explicit clear (std::priority_queue
-/// cannot be reset cheaply between trials).
+/// cannot be reset cheaply between trials). Holds one core's exclusive
+/// vertices during a trial.
 class MinIdHeap {
  public:
   void push(index_t v) {
@@ -34,6 +36,14 @@ class MinIdHeap {
 
 /// All mutable scheduler state. A trial journals its effects so that it can
 /// be rolled back to the last barrier in O(trial size).
+///
+/// The free ready pool (vertices whose parents are all committed) is an
+/// ascending array read through a cursor. Nothing joins it during a trial:
+/// a vertex freed mid-trial has a parent in the trial, so it goes to an
+/// exclusive heap or waits for the barrier, and no pool vertex can enter an
+/// exclusive heap. Reading the array in order is therefore exactly a
+/// min-heap's pop order, rollback only rewinds the cursor, and a trial
+/// always takes a prefix of the pool.
 class GrowLocalState {
  public:
   GrowLocalState(const Dag& dag, const GrowLocalOptions& opts)
@@ -42,7 +52,6 @@ class GrowLocalState {
         n_(dag.numVertices()),
         parents_left_(static_cast<size_t>(n_)),
         committed_(static_cast<size_t>(n_), 0),
-        trial_assigned_(static_cast<size_t>(n_), 0),
         ready_epoch_(static_cast<size_t>(n_), 0),
         first_core_(static_cast<size_t>(n_), 0),
         multi_core_(static_cast<size_t>(n_), 0),
@@ -50,7 +59,7 @@ class GrowLocalState {
         omega_(static_cast<size_t>(opts.num_cores), 0) {
     for (index_t v = 0; v < n_; ++v) {
       parents_left_[static_cast<size_t>(v)] = dag.inDegree(v);
-      if (parents_left_[static_cast<size_t>(v)] == 0) free_heap_.push(v);
+      if (parents_left_[static_cast<size_t>(v)] == 0) free_.push_back(v);
     }
   }
 
@@ -60,7 +69,6 @@ class GrowLocalState {
     ++epoch_;
     assigned_.clear();
     decremented_.clear();
-    popped_free_.clear();
     for (auto& h : excl_heap_) h.clear();
     std::fill(omega_.begin(), omega_.end(), weight_t{0});
     core1_hit_alpha_ = false;
@@ -129,31 +137,42 @@ class GrowLocalState {
     for (const index_t u : decremented_) {
       ++parents_left_[static_cast<size_t>(u)];
     }
-    for (const auto& [v, p] : assigned_) {
-      (void)p;
-      trial_assigned_[static_cast<size_t>(v)] = 0;
-    }
-    for (const index_t v : popped_free_) free_heap_.push(v);
+    cursor_ = 0;
   }
 
   /// Apply a saved assignment list as superstep `s`. Must be called with
-  /// the state rolled back to the barrier the list was formed from.
-  void commit(const std::vector<std::pair<index_t, int>>& saved, index_t s) {
+  /// the state rolled back to the barrier the list was formed from;
+  /// `pool_taken` is poolTaken() of the trial that formed it.
+  void commit(const std::vector<std::pair<index_t, int>>& saved,
+              size_t pool_taken, index_t s) {
     for (const auto& [v, p] : saved) {
       committed_[static_cast<size_t>(v)] = 1;
       core_[static_cast<size_t>(v)] = p;
       superstep_[static_cast<size_t>(v)] = s;
       order_records_.push_back(v);
       for (const index_t u : dag_.children(v)) {
-        if (--parents_left_[static_cast<size_t>(u)] == 0) free_heap_.push(u);
+        if (--parents_left_[static_cast<size_t>(u)] == 0) freed_.push_back(u);
       }
     }
     committed_count_ += static_cast<index_t>(saved.size());
+    // Children the trial already ran exclusively are committed, not free.
+    std::erase_if(freed_, [this](index_t u) {
+      return committed_[static_cast<size_t>(u)] != 0;
+    });
+    std::sort(freed_.begin(), freed_.end());
+    merged_.clear();
+    std::merge(free_.begin() + static_cast<std::ptrdiff_t>(pool_taken),
+               free_.end(), freed_.begin(), freed_.end(),
+               std::back_inserter(merged_));
+    free_.swap(merged_);
+    freed_.clear();
   }
 
   const std::vector<std::pair<index_t, int>>& trialAssignments() const {
     return assigned_;
   }
+  /// Pool vertices the last trial took: the prefix free_[0, poolTaken()).
+  size_t poolTaken() const { return cursor_; }
   bool core1HitAlpha() const { return core1_hit_alpha_; }
   index_t committedCount() const { return committed_count_; }
 
@@ -192,20 +211,10 @@ class GrowLocalState {
   index_t popBest(int p) {
     auto& excl = excl_heap_[static_cast<size_t>(p)];
     if (!excl.empty()) return excl.pop();
-    while (!free_heap_.empty()) {
-      const index_t v = free_heap_.pop();
-      if (committed_[static_cast<size_t>(v)] ||
-          trial_assigned_[static_cast<size_t>(v)]) {
-        continue;  // permanently stale entry
-      }
-      popped_free_.push_back(v);
-      return v;
-    }
-    return -1;
+    return cursor_ < free_.size() ? free_[cursor_++] : -1;
   }
 
   void assign(index_t v, int p) {
-    trial_assigned_[static_cast<size_t>(v)] = 1;
     assigned_.emplace_back(v, p);
     omega_[static_cast<size_t>(p)] += dag_.weight(v);
     for (const index_t u : dag_.children(v)) {
@@ -227,7 +236,7 @@ class GrowLocalState {
             .push(u);
       }
       // If multi_core_: ready but blocked until the barrier; the commit
-      // replay re-discovers it and feeds the free heap.
+      // replay re-discovers it and feeds the free pool.
     }
   }
 
@@ -237,19 +246,22 @@ class GrowLocalState {
 
   std::vector<index_t> parents_left_;
   std::vector<char> committed_;
-  std::vector<char> trial_assigned_;
   std::vector<std::uint32_t> ready_epoch_;
   std::vector<int> first_core_;
   std::vector<char> multi_core_;
 
-  MinIdHeap free_heap_;
+  // Free ready pool: ascending, uncommitted, read from cursor_ on.
+  std::vector<index_t> free_;
+  size_t cursor_ = 0;
+  // commit() scratch: the vertices it frees, and the merged next pool.
+  std::vector<index_t> freed_;
+  std::vector<index_t> merged_;
   std::vector<MinIdHeap> excl_heap_;
   std::vector<weight_t> omega_;
 
   // Trial journal.
   std::vector<std::pair<index_t, int>> assigned_;
   std::vector<index_t> decremented_;
-  std::vector<index_t> popped_free_;
   std::uint32_t epoch_ = 0;
   bool core1_hit_alpha_ = false;
 
@@ -310,6 +322,7 @@ Schedule growLocalScheduleImpl(const Dag& dag, const GrowLocalOptions& opts) {
 
   index_t superstep = 0;
   std::vector<std::pair<index_t, int>> saved;
+  size_t saved_pool_taken = 0;
   while (state.committedCount() < n) {
     double alpha = static_cast<double>(opts.min_superstep_size);
     double best_beta = -1.0;
@@ -330,6 +343,7 @@ Schedule growLocalScheduleImpl(const Dag& dag, const GrowLocalOptions& opts) {
            foldBalanced(state, opts));
       if (worthy) {
         saved = state.trialAssignments();
+        saved_pool_taken = state.poolTaken();
         best_beta = std::max(best_beta, beta);
         const bool exhausted_dag =
             state.committedCount() +
@@ -343,7 +357,7 @@ Schedule growLocalScheduleImpl(const Dag& dag, const GrowLocalOptions& opts) {
         break;
       }
     }
-    state.commit(saved, superstep);
+    state.commit(saved, saved_pool_taken, superstep);
     ++superstep;
   }
   Schedule schedule = state.buildSchedule(superstep);

@@ -1,5 +1,6 @@
 #include "dag/wavefronts.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -57,7 +58,26 @@ Wavefronts computeWavefronts(const Dag& dag) {
 }
 
 index_t criticalPathLength(const Dag& dag) {
-  return computeWavefronts(dag).num_levels;
+  // When every edge ascends IDs, as in every DAG fromLowerTriangular or
+  // fromUpperTriangular builds, ID order is topological: one forward pass
+  // over the parents finds each level. Otherwise (coarse graphs, cycles)
+  // run the full sweep, which also detects cycles.
+  const index_t n = dag.numVertices();
+  std::vector<index_t> level(static_cast<size_t>(n));
+  index_t num_levels = 0;
+  for (index_t v = 0; v < n; ++v) {
+    const auto parents = dag.parents(v);
+    if (!parents.empty() && parents.back() >= v) {
+      return computeWavefronts(dag).num_levels;
+    }
+    index_t lv = 0;
+    for (const index_t u : parents) {
+      lv = std::max(lv, static_cast<index_t>(level[static_cast<size_t>(u)] + 1));
+    }
+    level[static_cast<size_t>(v)] = lv;
+    num_levels = std::max(num_levels, static_cast<index_t>(lv + 1));
+  }
+  return num_levels;
 }
 
 }  // namespace sts::dag

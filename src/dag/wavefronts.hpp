@@ -38,7 +38,9 @@ struct Wavefronts {
 /// if the graph contains a cycle.
 Wavefronts computeWavefronts(const Dag& dag);
 
-/// Longest path length in vertices (== number of wavefronts).
+/// Longest path length in vertices (== number of wavefronts), without
+/// materializing the level sets: one pass over parents when every edge
+/// ascends IDs, else computeWavefronts. Throws std::logic_error on a cycle.
 index_t criticalPathLength(const Dag& dag);
 
 }  // namespace sts::dag

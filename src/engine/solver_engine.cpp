@@ -203,6 +203,12 @@ SolverId SolverEngine::registerSolver(
   if (!solver) {
     throw std::invalid_argument("SolverEngine::registerSolver: null solver");
   }
+  if (options_.tier == ServiceTier::kBoundedStale ||
+      options_.overload_control) {
+    // The ladder sheds into the bounded-stale tier exactly when the engine
+    // is busiest, so no request may pay the executor's first-use build.
+    solver->prepareBoundedStale();
+  }
   auto reg = std::make_unique<Registered>();
   reg->contexts = std::make_unique<ContextPool>(*solver);
   reg->solver = std::move(solver);

@@ -129,7 +129,10 @@ class SolverEngine {
 
   /// Registers an analyzed solver for serving. The engine shares ownership;
   /// callers may keep using the solver directly (context overloads only, if
-  /// concurrent with serving). Thread-safe.
+  /// concurrent with serving). Thread-safe. An engine that can route a
+  /// batch to the bounded-stale tier (`tier == kBoundedStale` or
+  /// `overload_control`) builds the solver's SSP executor here
+  /// (TriangularSolver::prepareBoundedStale), so no request pays for it.
   SolverId registerSolver(std::shared_ptr<const exec::TriangularSolver> solver);
 
   /// Queue x = T^{-1} b (original row ordering). On the exact tier the

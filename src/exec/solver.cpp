@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -61,6 +62,45 @@ void requireColumnShapes(std::span<const Column> columns,
   }
 }
 
+/// The schedule of `dag` by the scheduler `options` selects. A kSpmp run
+/// also leaves its result in `spmp`: the P2P executor needs its reduced DAG.
+core::Schedule runScheduler(const dag::Dag& dag, const SolverOptions& options,
+                            const core::GrowLocalOptions& gl,
+                            std::optional<baselines::SpmpResult>& spmp) {
+  switch (options.scheduler) {
+    case SchedulerKind::kGrowLocal:
+      if (options.num_schedule_blocks > 1) {
+        core::BlockScheduleOptions block;
+        block.num_blocks = options.num_schedule_blocks;
+        block.growlocal = gl;
+        return core::blockGrowLocalSchedule(dag, block);
+      }
+      return core::growLocalSchedule(dag, gl);
+    case SchedulerKind::kFunnelGrowLocal:
+      return core::funnelGrowLocalSchedule(dag, gl);
+    case SchedulerKind::kWavefront:
+      return baselines::wavefrontSchedule(
+          dag, baselines::WavefrontOptions{.num_cores = options.num_threads});
+    case SchedulerKind::kHdagg: {
+      baselines::HdaggOptions ho;
+      ho.num_cores = options.num_threads;
+      return baselines::hdaggSchedule(dag, ho);
+    }
+    case SchedulerKind::kSpmp: {
+      baselines::SpmpOptions so;
+      so.num_cores = options.num_threads;
+      spmp = baselines::spmpSchedule(dag, so);
+      return spmp->schedule;
+    }
+    case SchedulerKind::kBspList:
+      return baselines::bspListSchedule(
+          dag, baselines::BspListOptions{.num_cores = options.num_threads});
+    case SchedulerKind::kSerial:
+      return core::Schedule::serial(dag);
+  }
+  throw std::invalid_argument("TriangularSolver: unknown scheduler kind");
+}
+
 }  // namespace
 
 TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
@@ -74,10 +114,14 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   TriangularSolver solver;
   solver.n_ = matrix.rows();
   solver.options_ = options;
+  const bool reorder = options.reorder &&
+                       options.scheduler != SchedulerKind::kSpmp &&
+                       options.scheduler != SchedulerKind::kSerial;
 
-  // Normalize to a lower triangular system.
+  // Normalize to a lower triangular system. A lower input that the §5
+  // reordering will replace is read in place rather than copied.
   if (matrix.isLowerTriangular()) {
-    solver.matrix_ = std::make_shared<const CsrMatrix>(matrix);
+    if (!reorder) solver.matrix_ = std::make_shared<const CsrMatrix>(matrix);
     solver.total_new_to_old_ = sparse::identityPermutation(matrix.rows());
   } else if (matrix.isUpperTriangular()) {
     std::vector<index_t> reversal(static_cast<size_t>(matrix.rows()));
@@ -91,88 +135,49 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   } else {
     throw std::invalid_argument("TriangularSolver: matrix is not triangular");
   }
-  requireSolvableLower(*solver.matrix_);
+  const CsrMatrix& lower = solver.matrix_ ? *solver.matrix_ : matrix;
+  requireSolvableLower(lower);
 
   const auto t0 = Clock::now();
-  const dag::Dag dag = dag::Dag::fromLowerTriangular(*solver.matrix_);
-
   core::GrowLocalOptions gl = options.growlocal;
   gl.num_cores = options.num_threads;
-
   std::optional<baselines::SpmpResult> spmp;
-  switch (options.scheduler) {
-    case SchedulerKind::kGrowLocal:
-      if (options.num_schedule_blocks > 1) {
-        core::BlockScheduleOptions block;
-        block.num_blocks = options.num_schedule_blocks;
-        block.growlocal = gl;
-        solver.schedule_ = core::blockGrowLocalSchedule(dag, block);
-      } else {
-        solver.schedule_ = core::growLocalSchedule(dag, gl);
+  double stats_seconds = 0.0;
+  {
+    // The DAG lives only in this scope, so it is freed before the
+    // reordered matrix is allocated.
+    const dag::Dag dag = dag::Dag::fromLowerTriangular(lower);
+    solver.schedule_ = runScheduler(dag, options, gl, spmp);
+    if (options.validate) {
+      const auto validation = core::validateSchedule(dag, solver.schedule_);
+      if (!validation.ok) {
+        throw std::logic_error("TriangularSolver: scheduler produced an "
+                               "invalid schedule: " + validation.message);
       }
-      break;
-    case SchedulerKind::kFunnelGrowLocal:
-      solver.schedule_ = core::funnelGrowLocalSchedule(dag, gl);
-      break;
-    case SchedulerKind::kWavefront:
-      solver.schedule_ = baselines::wavefrontSchedule(
-          dag, baselines::WavefrontOptions{.num_cores = options.num_threads});
-      break;
-    case SchedulerKind::kHdagg: {
-      baselines::HdaggOptions ho;
-      ho.num_cores = options.num_threads;
-      solver.schedule_ = baselines::hdaggSchedule(dag, ho);
-      break;
     }
-    case SchedulerKind::kSpmp: {
-      baselines::SpmpOptions so;
-      so.num_cores = options.num_threads;
-      spmp = baselines::spmpSchedule(dag, so);
-      solver.schedule_ = spmp->schedule;
-      break;
-    }
-    case SchedulerKind::kBspList:
-      solver.schedule_ = baselines::bspListSchedule(
-          dag, baselines::BspListOptions{.num_cores = options.num_threads});
-      break;
-    case SchedulerKind::kSerial:
-      solver.schedule_ = core::Schedule::serial(dag);
-      break;
-  }
-
-  if (options.validate) {
-    const auto validation = core::validateSchedule(dag, solver.schedule_);
-    if (!validation.ok) {
-      throw std::logic_error("TriangularSolver: scheduler produced an "
-                             "invalid schedule: " + validation.message);
-    }
-  }
 #if STS_CHECKS
-  // Checked builds audit every analysis, not just validate-opted ones, and
-  // through the independent check:: re-derivation rather than the library's
-  // own validator (check/check.hpp).
-  check::enforce(check::validateSchedule(dag, solver.schedule_),
-                 "TriangularSolver::analyze");
+    // Checked builds audit every analysis, not just validate-opted ones,
+    // and through the independent check:: re-derivation rather than the
+    // library's own validator (check/check.hpp).
+    check::enforce(check::validateSchedule(dag, solver.schedule_),
+                   "TriangularSolver::analyze");
 #endif
+    const auto s0 = Clock::now();
+    solver.stats_ = core::computeScheduleStats(dag, solver.schedule_,
+                                               gl.sync_cost_l);
+    stats_seconds = std::chrono::duration<double>(Clock::now() - s0).count();
+  }
 
-  const bool reorder = options.reorder &&
-                       options.scheduler != SchedulerKind::kSpmp &&
-                       options.scheduler != SchedulerKind::kSerial;
   if (reorder) {
     core::ReorderedProblem problem =
-        core::reorderForLocality(*solver.matrix_, solver.schedule_);
+        core::reorderForLocality(lower, solver.schedule_);
     solver.total_new_to_old_ = sparse::composePermutations(
         solver.total_new_to_old_, problem.new_to_old);
     solver.permuted_ = true;
+    // Replaces (and frees) the reversed upper input, if there was one;
+    // `lower` is not read past this point.
     solver.matrix_ =
         std::make_shared<const CsrMatrix>(std::move(problem.matrix));
-    // The SSP executor shares the contiguous analysis product; materialize
-    // its work lists before the group_ptr ranges are moved away.
-    solver.ssp_ = std::make_unique<SspExecutor>(
-        *solver.matrix_, problem.num_supersteps,
-        SspExecutor::listsFromGroupPtr(problem.group_ptr,
-                                       problem.num_supersteps,
-                                       problem.num_cores));
     solver.contiguous_ = std::make_unique<ContiguousBspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
         std::move(problem.group_ptr));
@@ -180,20 +185,14 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   } else if (options.scheduler == SchedulerKind::kSpmp) {
     solver.p2p_ = std::make_unique<P2pExecutor>(
         *solver.matrix_, solver.schedule_, spmp->reduced_dag);
-    solver.ssp_ =
-        std::make_unique<SspExecutor>(*solver.matrix_, solver.schedule_);
     solver.exec_threads_ = solver.p2p_->numThreads();
   } else {
     solver.bsp_ =
         std::make_unique<BspExecutor>(*solver.matrix_, solver.schedule_);
-    solver.ssp_ =
-        std::make_unique<SspExecutor>(*solver.matrix_, solver.schedule_);
     solver.exec_threads_ = solver.bsp_->numThreads();
   }
   solver.analysis_seconds_ =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  solver.stats_ = core::computeScheduleStats(dag, solver.schedule_,
-                                             gl.sync_cost_l);
+      std::chrono::duration<double>(Clock::now() - t0).count() - stats_seconds;
   solver.old_to_new_ = sparse::inversePermutation(solver.total_new_to_old_);
 
   // The lossless clamp: schedules keep their analyzed width (folding
@@ -207,6 +206,27 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   solver.default_ctx_ = solver.createContext();
   return solver;
 }
+
+const SspExecutor& TriangularSolver::sspExecutor() const {
+  std::call_once(ssp_->once, [this] {
+    STS_TRACE_SPAN1("plan", "ssp_build", "rows",
+                    static_cast<std::uint64_t>(n_));
+    if (contiguous_) {
+      // The reordered problem's (superstep, core) groups are the
+      // contiguous row ranges schedule_.groupPtr() delimits.
+      ssp_->executor = std::make_unique<SspExecutor>(
+          *matrix_, schedule_.numSupersteps(),
+          SspExecutor::listsFromGroupPtr(schedule_.groupPtr(),
+                                         schedule_.numSupersteps(),
+                                         schedule_.numCores()));
+    } else {
+      ssp_->executor = std::make_unique<SspExecutor>(*matrix_, schedule_);
+    }
+  });
+  return *ssp_->executor;
+}
+
+void TriangularSolver::prepareBoundedStale() const { (void)sspExecutor(); }
 
 int TriangularSolver::clampTeam(int threads) const {
   if (threads < 1) {
@@ -331,14 +351,14 @@ SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
   }
   const int team = clampTeam(threads);
   if (!permuted_) {
-    return ssp_->solve(b, x, opts, ctx, team, policy, storage);
+    return sspExecutor().solve(b, x, opts, ctx, team, policy, storage);
   }
   const auto n = static_cast<size_t>(n_);
   const auto b_int = ctx.bScratch(n);
   const auto x_int = ctx.xScratch(n);
   gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
   const SspResult result =
-      ssp_->solve(b_int, x_int, opts, ctx, team, policy, storage);
+      sspExecutor().solve(b_int, x_int, opts, ctx, team, policy, storage);
   gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
   return result;
 }
@@ -364,13 +384,14 @@ SspResult TriangularSolver::solveBoundedStaleMultiRhs(
   const int team = clampTeam(threads);
   const auto r = static_cast<size_t>(nrhs);
   if (!permuted_) {
-    return ssp_->solveMultiRhs(b, x, nrhs, opts, ctx, team, policy, storage);
+    return sspExecutor().solveMultiRhs(b, x, nrhs, opts, ctx, team, policy,
+                                       storage);
   }
   const auto b_int = ctx.bScratch(n * r);
   const auto x_int = ctx.xScratch(n * r);
   gatherRowMajor(total_new_to_old_, b, b_int, r, ctx, team);
-  const SspResult result = ssp_->solveMultiRhs(b_int, x_int, nrhs, opts, ctx,
-                                               team, policy, storage);
+  const SspResult result = sspExecutor().solveMultiRhs(
+      b_int, x_int, nrhs, opts, ctx, team, policy, storage);
   gatherRowMajor(old_to_new_, x_int, x, r, ctx, team);
   return result;
 }

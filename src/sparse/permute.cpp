@@ -5,11 +5,19 @@
 
 namespace sts::sparse {
 
+namespace {
+
+/// True iff `i` indexes a vector of `n` entries.
+bool inRange(index_t i, size_t n) {
+  return i >= 0 && static_cast<size_t>(i) < n;
+}
+
+}  // namespace
+
 bool isPermutation(std::span<const index_t> p) {
   std::vector<bool> seen(p.size(), false);
   for (const index_t v : p) {
-    if (v < 0 || static_cast<size_t>(v) >= p.size() ||
-        seen[static_cast<size_t>(v)]) {
+    if (!inRange(v, p.size()) || seen[static_cast<size_t>(v)]) {
       return false;
     }
     seen[static_cast<size_t>(v)] = true;
@@ -41,7 +49,11 @@ std::vector<double> permuteVector(std::span<const double> v,
   }
   std::vector<double> out(v.size());
   for (size_t i = 0; i < v.size(); ++i) {
-    out[i] = v[static_cast<size_t>(new_to_old[i])];
+    const index_t old = new_to_old[i];
+    if (!inRange(old, v.size())) {
+      throw std::invalid_argument("permuteVector: entry out of range");
+    }
+    out[i] = v[static_cast<size_t>(old)];
   }
   return out;
 }
@@ -53,7 +65,11 @@ std::vector<double> unpermuteVector(std::span<const double> v,
   }
   std::vector<double> out(v.size());
   for (size_t i = 0; i < v.size(); ++i) {
-    out[static_cast<size_t>(new_to_old[i])] = v[i];
+    const index_t old = new_to_old[i];
+    if (!inRange(old, v.size())) {
+      throw std::invalid_argument("unpermuteVector: entry out of range");
+    }
+    out[static_cast<size_t>(old)] = v[i];
   }
   return out;
 }
@@ -65,6 +81,9 @@ std::vector<index_t> composePermutations(std::span<const index_t> a,
   }
   std::vector<index_t> c(a.size());
   for (size_t i = 0; i < a.size(); ++i) {
+    if (!inRange(b[i], a.size())) {
+      throw std::invalid_argument("composePermutations: entry out of range");
+    }
     c[i] = a[static_cast<size_t>(b[i])];
   }
   return c;

@@ -22,7 +22,9 @@ std::vector<index_t> inversePermutation(std::span<const index_t> p);
 /// [0, 1, ..., n-1].
 std::vector<index_t> identityPermutation(index_t n);
 
-/// out[i] = v[new_to_old[i]].
+/// out[i] = v[new_to_old[i]]. This and the two helpers below throw
+/// std::invalid_argument on a size mismatch or on an entry outside
+/// [0, n); they do not check that the entries are distinct.
 std::vector<double> permuteVector(std::span<const double> v,
                                   std::span<const index_t> new_to_old);
 

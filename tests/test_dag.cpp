@@ -149,7 +149,34 @@ TEST(Wavefronts, LevelsAreMonotoneAlongEdges) {
             << name;
       }
     }
+    // The forward-pass shortcut agrees with the full sweep.
+    EXPECT_EQ(criticalPathLength(d), wf.num_levels) << name;
   }
+}
+
+TEST(Wavefronts, CriticalPathFallsBackWhenEdgesDescend) {
+  // Relabel v -> n-1-v: every edge now descends IDs, so ID order is not
+  // topological and criticalPathLength must take the full sweep.
+  for (const auto& [name, lower] : testutil::lowerTriangularZoo()) {
+    const Dag d = Dag::fromLowerTriangular(lower);
+    const index_t n = d.numVertices();
+    std::vector<Edge> edges;
+    for (const auto& [u, v] : d.edgeList()) {
+      edges.emplace_back(n - 1 - u, n - 1 - v);
+    }
+    const Dag reversed = Dag::fromEdges(n, edges);
+    EXPECT_EQ(criticalPathLength(reversed),
+              computeWavefronts(reversed).num_levels)
+        << name;
+    EXPECT_EQ(criticalPathLength(reversed), criticalPathLength(d)) << name;
+  }
+}
+
+TEST(Wavefronts, CriticalPathThrowsOnCycle) {
+  const Dag cycle =
+      Dag::fromEdges(3, std::vector<Edge>{{0, 1}, {1, 2}, {2, 0}});
+  EXPECT_THROW(computeWavefronts(cycle), std::logic_error);
+  EXPECT_THROW(criticalPathLength(cycle), std::logic_error);
 }
 
 TEST(Toposort, ValidOrderOnZoo) {

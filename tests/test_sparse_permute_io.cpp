@@ -47,6 +47,20 @@ TEST(Permute, Composition) {
   EXPECT_EQ(two_step, permuteVector(v, c));
 }
 
+TEST(Permute, HelpersRejectOutOfRangeEntries) {
+  // Each helper indexes through its map: a negative or >= n entry would
+  // read (permuteVector, composePermutations) or write (unpermuteVector)
+  // out of bounds.
+  const std::vector<double> v = {10.0, 20.0, 30.0};
+  const std::vector<index_t> ok = {2, 0, 1};
+  for (const index_t bad : {index_t{-1}, index_t{3}, index_t{1000}}) {
+    const std::vector<index_t> map = {0, bad, 1};
+    EXPECT_THROW(permuteVector(v, map), std::invalid_argument) << bad;
+    EXPECT_THROW(unpermuteVector(v, map), std::invalid_argument) << bad;
+    EXPECT_THROW(composePermutations(ok, map), std::invalid_argument) << bad;
+  }
+}
+
 TEST(MatrixMarket, WriteReadRoundTrip) {
   const auto m = datagen::erdosRenyiLower({.n = 60, .p = 0.05, .seed = 60});
   std::stringstream buf;
