@@ -7,24 +7,14 @@
 /// exactly the analyze-once / solve-many regime where scheduling time
 /// amortizes (paper §7.7).
 ///
-/// A preconditioner apply is also the canonical consumer of the
-/// bounded-staleness tier (exec/ssp.hpp, EngineOptions::tier): CG only
-/// needs M^{-1} applied approximately but CONSISTENTLY, so the SSP
-/// executor may relax superstep barriers and let residual-checked
-/// refinement repair the dropped couplings to a modest tolerance. The
-/// demo runs the same CG twice — exact tier, then bounded-stale — and
-/// compares outer iteration counts: the relaxed tier must not derail CG.
-///
 ///   ./iccg_preconditioner
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "datagen/grids.hpp"
 #include "exec/solver.hpp"
-#include "exec/ssp.hpp"
 #include "sparse/ic0.hpp"
 
 namespace {
@@ -39,53 +29,6 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
   for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-struct CgRun {
-  int iterations = 0;        ///< outer CG iterations
-  int solves = 0;            ///< triangular solves consumed
-  double residual = 0.0;     ///< ||Ax - b||_inf at exit
-  int ssp_refinements = 0;   ///< refinement sweeps summed over applies
-};
-
-using Apply = std::function<void(const std::vector<double>&,
-                                 std::vector<double>&)>;
-
-CgRun runCg(const CsrMatrix& a, const std::vector<double>& b,
-            const Apply& apply_preconditioner) {
-  const auto n = static_cast<size_t>(a.rows());
-  std::vector<double> x(n, 0.0);
-  std::vector<double> r = b;  // r = b - A*0
-  std::vector<double> z(n, 0.0), p(n, 0.0), ap(n, 0.0);
-
-  CgRun run;
-  apply_preconditioner(r, z);
-  p = z;
-  double rz = dot(r, z);
-  const double r0 = std::sqrt(dot(r, r));
-  run.solves = 2;
-  for (; run.iterations < 500; ++run.iterations) {
-    const auto av = a.multiply(p);
-    std::copy(av.begin(), av.end(), ap.begin());
-    const double alpha = rz / dot(p, ap);
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    const double rnorm = std::sqrt(dot(r, r));
-    if (rnorm / r0 < 1e-8) break;
-    apply_preconditioner(r, z);
-    run.solves += 2;
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  ++run.iterations;
-
-  const auto ax = a.multiply(x);
-  for (size_t i = 0; i < n; ++i) {
-    run.residual = std::max(run.residual, std::abs(ax[i] - b[i]));
-  }
-  return run;
 }
 
 }  // namespace
@@ -115,50 +58,48 @@ int main() {
               forward.schedule().numSupersteps(),
               backward.analysisSeconds() * 1e3);
 
+  // CG with preconditioner M^{-1} r = L^{-T} (L^{-1} r).
   const std::vector<double> b(n, 1.0);
-  std::vector<double> tmp(n, 0.0);
+  std::vector<double> x(n, 0.0);
+  std::vector<double> r = b;  // r = b - A*0
+  std::vector<double> z(n, 0.0), tmp(n, 0.0), p(n, 0.0), ap(n, 0.0);
 
-  // Exact tier: M^{-1} r = L^{-T} (L^{-1} r), bitwise-deterministic.
-  const CgRun exact = runCg(a, b, [&](const std::vector<double>& rhs,
-                                      std::vector<double>& out) {
+  auto apply_preconditioner = [&](const std::vector<double>& rhs,
+                                  std::vector<double>& out) {
     forward.solve(rhs, tmp);
     backward.solve(tmp, out);
-  });
-  std::printf("exact tier:         %d iterations (%d triangular solves), "
+  };
+
+  apply_preconditioner(r, z);
+  p = z;
+  double rz = dot(r, z);
+  const double r0 = std::sqrt(dot(r, r));
+  int iterations = 0;
+  int solves = 2;
+  for (; iterations < 500; ++iterations) {
+    const auto av = a.multiply(p);
+    std::copy(av.begin(), av.end(), ap.begin());
+    const double alpha = rz / dot(p, ap);
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    const double rnorm = std::sqrt(dot(r, r));
+    if (rnorm / r0 < 1e-8) break;
+    apply_preconditioner(r, z);
+    solves += 2;
+    const double rz_new = dot(r, z);
+    const double beta = rz_new / rz;
+    rz = rz_new;
+    for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+  }
+
+  const auto ax = a.multiply(x);
+  double res = 0.0;
+  for (size_t i = 0; i < n; ++i) res = std::max(res, std::abs(ax[i] - b[i]));
+  std::printf("converged in %d iterations (%d triangular solves), "
               "residual %.2e\n",
-              exact.iterations, exact.solves, exact.residual);
-
-  // Bounded-stale tier: each apply relaxes barriers to chunks of
-  // staleness+1 supersteps and refines to a tolerance far looser than the
-  // solver's — the preconditioner only steers CG, it need not be exact.
-  exec::SspOptions ssp;
-  ssp.staleness = 2;
-  ssp.tolerance = 1e-6;
-  int stale_refinements = 0;
-  auto fctx = forward.createContext();
-  auto bctx = backward.createContext();
-  const CgRun stale = runCg(a, b, [&](const std::vector<double>& rhs,
-                                      std::vector<double>& out) {
-    stale_refinements += forward.solveBoundedStale(rhs, tmp, ssp, *fctx)
-                             .refinements;
-    stale_refinements += backward.solveBoundedStale(tmp, out, ssp, *bctx)
-                             .refinements;
-  });
-  std::printf("bounded-stale tier: %d iterations (%d triangular solves, "
-              "%d refinement sweeps), residual %.2e\n",
-              stale.iterations, stale.solves, stale_refinements,
-              stale.residual);
-
+              iterations + 1, solves, res);
   std::printf("each analysis amortizes over the %d solves of this single "
               "linear solve -- and the pattern is reused across time steps "
-              "in practice\n", exact.solves);
-  const int drift = std::abs(stale.iterations - exact.iterations);
-  std::printf("tier drift: %d outer iteration(s); the relaxed "
-              "preconditioner steers CG to the same answer\n", drift);
-
-  // Gate: both tiers converge, and the stale tier does not derail CG
-  // (allow a small outer-iteration drift for the approximate applies).
-  const bool ok = exact.residual < 1e-5 && stale.residual < 1e-5 &&
-                  drift <= 5;
-  return ok ? 0 : 1;
+              "in practice\n", solves);
+  return res < 1e-5 ? 0 : 1;
 }

@@ -269,58 +269,6 @@ CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
   return {};
 }
 
-CheckResult validateSspPlan(const sparse::CsrMatrix& lower,
-                            const exec::detail::FoldedLists& lists,
-                            sts::index_t num_steps) {
-  const CheckResult base =
-      validateFoldedLists(lists, num_steps, lower.rows());
-  if (!base.ok) return base;
-  // Re-derive the owner / superstep / stream-position maps the SSP guard
-  // and chunk walk rely on.
-  const auto n = static_cast<std::size_t>(lower.rows());
-  std::vector<int> owner(n, 0);
-  std::vector<sts::index_t> step(n, 0);
-  std::vector<sts::offset_t> pos(n, 0);
-  for (std::size_t t = 0; t < lists.verts.size(); ++t) {
-    const auto& ptr = lists.step_ptr[t];
-    for (sts::index_t s = 0; s < num_steps; ++s) {
-      const auto begin = static_cast<std::size_t>(ptr[static_cast<std::size_t>(s)]);
-      const auto end =
-          static_cast<std::size_t>(ptr[static_cast<std::size_t>(s) + 1]);
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto v = static_cast<std::size_t>(lists.verts[t][k]);
-        owner[v] = static_cast<int>(t);
-        step[v] = s;
-        pos[v] = static_cast<sts::offset_t>(k);
-      }
-    }
-  }
-  for (sts::index_t i = 0; i < lower.rows(); ++i) {
-    const auto cols = lower.rowCols(i);
-    const auto ui = static_cast<std::size_t>(i);
-    // All entries but the last (the diagonal) are dependencies.
-    for (std::size_t k = 0; k + 1 < cols.size(); ++k) {
-      const sts::index_t j = cols[k];
-      const auto uj = static_cast<std::size_t>(j);
-      if (owner[uj] == owner[ui]) {
-        if (pos[uj] >= pos[ui]) {
-          return CheckResult::failure(
-              "same-thread dependency " + std::to_string(j) + " -> " +
-              std::to_string(i) + " runs against thread " +
-              std::to_string(owner[ui]) + "'s stream order");
-        }
-      } else if (step[uj] >= step[ui]) {
-        return CheckResult::failure(
-            "cross-thread dependency " + std::to_string(j) + " -> " +
-            std::to_string(i) + " is not strictly earlier (superstep " +
-            std::to_string(step[uj]) + " >= " + std::to_string(step[ui]) +
-            "); staleness 0 would not degenerate to the exact walk");
-      }
-    }
-  }
-  return {};
-}
-
 CheckResult auditCoreGrants(std::span<const int> universe,
                             std::span<const std::vector<int>> live_grants) {
   std::unordered_set<int> pool(universe.begin(), universe.end());

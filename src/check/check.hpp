@@ -91,20 +91,6 @@ CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
                              const exec::detail::FoldedLists& lists,
                              const exec::detail::SlabPlan& plan);
 
-/// An SSP execution plan (exec/ssp.hpp) is a valid bounded-staleness
-/// walk of `lower`:
-///  * the work lists satisfy validateFoldedLists over
-///    (num_steps, lower.rows());
-///  * every same-thread dependency (off-diagonal entry whose operand row
-///    lives on the same thread) appears EARLIER in that thread's stream
-///    order, so it is satisfied within any chunk width;
-///  * every cross-thread dependency sits in a STRICTLY earlier superstep —
-///    the precondition that makes staleness 0 (chunk width 1) bitwise
-///    equal to the exact BSP walk, because the SspGuard then never fires.
-CheckResult validateSspPlan(const sparse::CsrMatrix& lower,
-                            const exec::detail::FoldedLists& lists,
-                            sts::index_t num_steps);
-
 /// Core-set grant audit: every live grant's ids are distinct members of
 /// `universe`, and the grants are pairwise disjoint — the "never overlap"
 /// invariant placement relies on (engine/core_budget.hpp).

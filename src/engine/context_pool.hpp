@@ -18,10 +18,10 @@
 /// context travels with two grow-only staging tile buffers (the b and x
 /// sides of the engine's pack → solveTiles → unpack route), and contexts
 /// keep their lazily grown scratch/flag allocations across reuses, which
-/// is the point: once a burst has sized them, an exact-tier single-RHS
-/// batch allocates nothing that grows with n — its answers are unpacked
-/// into the requests' own right-hand-side vectors. stagingBytes() is the
-/// memory those tiles hold.
+/// is the point: once a burst has sized them, a single-RHS batch
+/// allocates nothing that grows with n — its answers are unpacked into
+/// the requests' own right-hand-side vectors. stagingBytes() is the memory
+/// those tiles hold.
 
 namespace sts::engine {
 

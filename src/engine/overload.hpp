@@ -1,85 +1,70 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 
 #include "base/sync.hpp"
 
 /// \file overload.hpp
-/// Admission control + the graceful-degradation ladder (docs/ROBUSTNESS.md).
+/// Admission control under overload (docs/ROBUSTNESS.md): a two-state
+/// latch over one scalar, the estimated queue delay the engine derives
+/// from queue depth x the batch-latency histogram and the oldest queued
+/// wait. Pressure = est_delay / target_delay.
 ///
-/// The controller watches one scalar — the estimated queue delay, fed by
-/// the engine from queue depth x the registry's batch-latency histogram
-/// and the oldest queued wait — and maps it onto a LADDER of rungs:
+///   released   every class is admitted
+///   engaged    new throughput-class work is rejected with
+///              EngineError{kRejected}; latency-class work is still admitted
 ///
-///   rung 0                      exact: the engine's configured tier
-///   rung 1..max_rung-1          precision shed: bounded-stale SSP with
-///                               staleness raised by the rung (tolerance
-///                               optionally relaxed per rung)
-///   rung max_rung               admission: new throughput-class work is
-///                               rejected (latency-class still admitted)
-///
-/// Pressure = est_delay / target_delay, so rung r is "appropriate" while
-/// pressure sits in [r, r+1). Rungs move ONE step per decision (no jumps)
-/// and step DOWN only once pressure clears the current rung by the
-/// hysteresis margin — the same dither-proofing asymmetry as the SLO
-/// controller's deadband (engine::sloStep). The engine sheds precision
-/// before it sheds requests: the reject rung is the ladder's last resort,
-/// exactly the ROADMAP contract ("reject/degrade instead of queue
-/// collapse").
+/// The latch engages once pressure reaches 1 and releases only once it
+/// falls to 1 - hysteresis, so a load hovering at the target holds its
+/// state instead of dithering — the same asymmetry as the SLO controller's
+/// deadband (engine::sloStep). Admitted work always runs on the exact
+/// executors; overload changes who is admitted, never what an answer is.
 
 namespace sts::engine {
 
-/// One ladder decision, pure and unit-testable (the overload analogue of
-/// engine::sloStep): given the current pressure (est_delay / target),
-/// the hysteresis margin, and the current rung, return the next rung in
-/// [0, max_rung]. Monotone in pressure for any fixed current rung, and
-/// never moves more than one rung per call.
-int overloadStep(double pressure, double hysteresis, int current,
-                 int max_rung);
+/// One latch decision, pure and unit-testable (the overload analogue of
+/// engine::sloStep): given the current pressure (est_delay / target), the
+/// hysteresis margin and the current state, return the next state.
+/// Monotone in pressure for either current state; a NaN pressure holds.
+inline bool overloadStep(double pressure, double hysteresis, bool engaged) {
+  return engaged ? !(pressure <= 1.0 - hysteresis) : pressure >= 1.0;
+}
 
-/// Thread-safe ladder state around overloadStep. update() is called from
-/// the submit path and from batch completions; rung() is a lock-free read
-/// for per-batch decisions.
+/// Thread-safe latch around overloadStep. update() is called from the
+/// submit path and from batch completions; engaged() is a lock-free read
+/// for per-submission decisions.
 class OverloadController {
  public:
-  /// `target_delay` > 0 seconds per rung; `hysteresis` >= 0 in rung
-  /// units; `max_rung` >= 1 (the reject rung).
-  OverloadController(double target_delay, double hysteresis, int max_rung)
-      : target_delay_(target_delay),
-        hysteresis_(hysteresis),
-        max_rung_(max_rung) {}
+  /// `target_delay` > 0 seconds; `hysteresis` >= 0 in target-delay units.
+  OverloadController(double target_delay, double hysteresis)
+      : target_delay_(target_delay), hysteresis_(hysteresis) {}
 
-  /// Feed a fresh queue-delay estimate; returns {previous, next} rung so
-  /// the caller can account the transition (trace instant + counters).
-  struct Step {
-    int from = 0;
-    int to = 0;
-    bool moved() const { return from != to; }
-  };
-  Step update(double est_delay_seconds) {
-    // Serialized: two concurrent updates must not both step from the same
-    // rung (the ladder would jump two rungs off one pressure reading).
+  /// Feed a fresh queue-delay estimate. Returns the state the latch
+  /// flipped to if this call flipped it (nullopt otherwise), so the caller
+  /// can account the transition (trace instant + counter).
+  std::optional<bool> update(double est_delay_seconds) {
+    // Serialized: two concurrent updates off the same state must not both
+    // report the flip.
     base::MutexLock lock(mu_);
-    const int current = rung_.load(std::memory_order_relaxed);
-    const int next = overloadStep(est_delay_seconds / target_delay_,
-                                  hysteresis_, current, max_rung_);
-    rung_.store(next, std::memory_order_relaxed);
-    return {current, next};
+    const bool current = engaged_.load(std::memory_order_relaxed);
+    const bool next =
+        overloadStep(est_delay_seconds / target_delay_, hysteresis_, current);
+    if (next == current) return std::nullopt;
+    engaged_.store(next, std::memory_order_relaxed);
+    return next;
   }
 
-  /// The current rung (lock-free; per-batch and per-submit reads).
-  int rung() const { return rung_.load(std::memory_order_relaxed); }
-  int maxRung() const { return max_rung_; }
-  double targetDelay() const { return target_delay_; }
+  /// The current state (lock-free; per-submission reads).
+  bool engaged() const { return engaged_.load(std::memory_order_relaxed); }
 
  private:
   const double target_delay_;
   const double hysteresis_;
-  const int max_rung_;
-  /// update() serializer; the rung itself stays an atomic so readers
+  /// update() serializer; the state itself stays an atomic so readers
   /// never take the lock.
   base::Mutex mu_;
-  std::atomic<int> rung_{0};
+  std::atomic<bool> engaged_{false};
 };
 
 }  // namespace sts::engine

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -89,50 +90,34 @@ SolverEngine::SolverEngine(EngineOptions options)
   if (options_.elastic_min_team < 1) {
     throw std::invalid_argument("SolverEngine: elastic_min_team must be >= 1");
   }
-  if (options_.target_p95 < 0.0) {
+  // Negated comparisons so that a NaN fails them too: a NaN target would
+  // otherwise turn every controller input into NaN.
+  if (!(options_.target_p95 >= 0.0)) {
     throw std::invalid_argument("SolverEngine: target_p95 must be >= 0");
   }
   if (options_.core_budget < 0) {
     throw std::invalid_argument("SolverEngine: core_budget must be >= 0");
   }
-  if (options_.stale_supersteps < 0) {
-    throw std::invalid_argument("SolverEngine: stale_supersteps must be >= 0");
-  }
-  if (options_.stale_tolerance < 0.0) {
-    throw std::invalid_argument("SolverEngine: stale_tolerance must be >= 0");
-  }
-  if (options_.stale_max_refine < 0) {
-    throw std::invalid_argument("SolverEngine: stale_max_refine must be >= 0");
-  }
-  if (options_.overload_control && options_.overload_target_delay <= 0.0) {
+  if (options_.overload_control && !(options_.overload_target_delay > 0.0)) {
     throw std::invalid_argument(
         "SolverEngine: overload_target_delay must be > 0");
   }
-  if (options_.overload_hysteresis < 0.0) {
+  if (!(options_.overload_hysteresis >= 0.0)) {
     throw std::invalid_argument(
         "SolverEngine: overload_hysteresis must be >= 0");
   }
-  if (options_.overload_max_rung < 1) {
-    throw std::invalid_argument("SolverEngine: overload_max_rung must be >= 1");
-  }
-  if (options_.overload_tolerance_growth < 1.0) {
-    throw std::invalid_argument(
-        "SolverEngine: overload_tolerance_growth must be >= 1");
-  }
-  // Engine-wide lifecycle instruments exist whether or not the ladder
+  // Engine-wide lifecycle instruments exist whether or not the latch
   // runs: admitted/rejected/expired count the bounded-queue and deadline
   // machinery too, and the batch-seconds histogram doubles as the
   // controller's service-rate model.
   batch_seconds_hist_ = &metrics_.histogram("sts.engine.batch_seconds");
   admitted_counter_ = &metrics_.counter("sts.engine.admitted");
-  degraded_counter_ = &metrics_.counter("sts.engine.degraded");
   rejected_counter_ = &metrics_.counter("sts.engine.rejected");
   expired_counter_ = &metrics_.counter("sts.engine.expired");
   overload_steps_counter_ = &metrics_.counter("sts.engine.overload_steps");
   if (options_.overload_control) {
     overload_ = std::make_unique<OverloadController>(
-        options_.overload_target_delay, options_.overload_hysteresis,
-        options_.overload_max_rung);
+        options_.overload_target_delay, options_.overload_hysteresis);
   }
   if (options_.start_paused) queue_.pause();
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
@@ -203,12 +188,6 @@ SolverId SolverEngine::registerSolver(
   if (!solver) {
     throw std::invalid_argument("SolverEngine::registerSolver: null solver");
   }
-  if (options_.tier == ServiceTier::kBoundedStale ||
-      options_.overload_control) {
-    // The ladder sheds into the bounded-stale tier exactly when the engine
-    // is busiest, so no request may pay the executor's first-use build.
-    solver->prepareBoundedStale();
-  }
   auto reg = std::make_unique<Registered>();
   reg->contexts = std::make_unique<ContextPool>(*solver);
   reg->solver = std::move(solver);
@@ -232,10 +211,6 @@ SolverId SolverEngine::registerSolver(
   reg->rhs_solved_counter = &metrics_.counter(solverMetric(id, "rhs_solved"));
   reg->batches_counter = &metrics_.counter(solverMetric(id, "batches"));
   reg->slo_steps_counter = &metrics_.counter(solverMetric(id, "slo_steps"));
-  reg->refine_hist =
-      &metrics_.histogram(solverMetric(id, "refine_iterations"));
-  reg->ssp_fallbacks_counter =
-      &metrics_.counter(solverMetric(id, "ssp_fallbacks"));
   reg->staging_bytes_gauge =
       &metrics_.gauge(solverMetric(id, "staging_bytes"));
   solvers_.push_back(std::move(reg));
@@ -259,8 +234,11 @@ SolveRequest SolverEngine::buildRequest(SolverId id, std::vector<double> b,
   if (nrhs <= 0 || b.size() != n * static_cast<std::size_t>(nrhs)) {
     throw std::invalid_argument("SolverEngine::submit: rhs size mismatch");
   }
-  if (opts.deadline_seconds < 0.0 || opts.max_queue_wait_seconds < 0.0) {
-    throw std::invalid_argument("SolverEngine::submit: negative deadline");
+  // Negated so that a NaN budget is refused instead of read as "none".
+  if (!(opts.deadline_seconds >= 0.0) ||
+      !(opts.max_queue_wait_seconds >= 0.0)) {
+    throw std::invalid_argument(
+        "SolverEngine::submit: deadline must be >= 0 and not NaN");
   }
   SolveRequest request;
   request.solver = id;
@@ -269,11 +247,19 @@ SolveRequest SolverEngine::buildRequest(SolverId id, std::vector<double> b,
   request.submitted = std::chrono::steady_clock::now();
   request.priority = opts.priority;
   // The two budgets collapse into one absolute lazy-expiry point (the
-  // queue sweeps on expires_at only); 0 disables a budget.
+  // queue sweeps on expires_at only); 0 disables a budget. A budget past
+  // the clock's range (+inf included) never expires: cast to the clock's
+  // integer ticks it would overflow into the past instead. The comparison
+  // runs in double ticks, and a double below the room there stays within
+  // it once cast, so the sum cannot overflow.
   const auto budget = [&](double seconds) {
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::duration<double> wanted(seconds);
+    if (wanted >= Clock::time_point::max() - request.submitted) {
+      return Clock::time_point::max();
+    }
     return request.submitted +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(seconds));
+           std::chrono::duration_cast<Clock::duration>(wanted);
   };
   if (opts.deadline_seconds > 0.0) {
     request.expires_at = budget(opts.deadline_seconds);
@@ -295,7 +281,7 @@ void SolverEngine::rejectRequest(SolveRequest&& request, Registered& reg,
     base::MutexLock lock(reg.stats_mu);
     reg.rejected_requests += 1;
   }
-  request.fail(std::make_exception_ptr(EngineError(
+  request.promise.set_exception(std::make_exception_ptr(EngineError(
       EngineErrorCode::kRejected,
       std::string("SolverEngine: request rejected (") + why + ")")));
   noteRetired(1);
@@ -306,12 +292,11 @@ void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
   const sts::index_t nrhs = request.nrhs;
   const auto submitted = request.submitted;
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  // Ladder-top admission control: at the reject rung only latency-class
-  // work is still admitted — shedding requests is the last resort, after
-  // precision shedding (the rungs below) stopped being enough.
+  // While the overload latch is engaged only latency-class work is still
+  // admitted.
   if (overload_ && request.priority == RequestPriority::kThroughput &&
-      overload_->rung() >= overload_->maxRung()) {
-    rejectRequest(std::move(request), reg, "overload ladder at top rung");
+      overload_->engaged()) {
+    rejectRequest(std::move(request), reg, "overload latch engaged");
     return;
   }
   switch (queue_.push(std::move(request))) {
@@ -346,43 +331,24 @@ void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
       reg.saw_submit = true;
     }
   }
-  // The submit path feeds the ladder too: under a stalled or saturated
+  // The submit path feeds the latch too: under a stalled or saturated
   // worker pool, batch completions (the other feed) may be rare exactly
   // when pressure is building.
   if (overload_) overloadUpdate(std::chrono::steady_clock::now());
 }
 
-std::future<std::vector<double>> SolverEngine::submit(SolverId id,
-                                                      std::vector<double> b) {
-  Registered* reg = nullptr;
-  SolveRequest request = buildRequest(id, std::move(b), 1, {}, &reg);
-  auto future = request.promise.get_future();
-  dispatch(std::move(request), *reg);
-  return future;
-}
-
-std::future<std::vector<double>> SolverEngine::submitMulti(
-    SolverId id, std::vector<double> b, sts::index_t nrhs) {
-  Registered* reg = nullptr;
-  SolveRequest request = buildRequest(id, std::move(b), nrhs, {}, &reg);
-  auto future = request.promise.get_future();
-  dispatch(std::move(request), *reg);
-  return future;
-}
-
-std::future<SolveResponse> SolverEngine::submit(
+std::future<std::vector<double>> SolverEngine::submit(
     SolverId id, std::vector<double> b, const SubmitOptions& submit_options) {
   return submitMulti(id, std::move(b), 1, submit_options);
 }
 
-std::future<SolveResponse> SolverEngine::submitMulti(
+std::future<std::vector<double>> SolverEngine::submitMulti(
     SolverId id, std::vector<double> b, sts::index_t nrhs,
     const SubmitOptions& submit_options) {
   Registered* reg = nullptr;
   SolveRequest request = buildRequest(id, std::move(b), nrhs, submit_options,
                                       &reg);
-  request.extended = true;
-  auto future = request.promise_ex.get_future();
+  auto future = request.promise.get_future();
   dispatch(std::move(request), *reg);
   return future;
 }
@@ -422,7 +388,7 @@ void SolverEngine::stop() {
       reg.rejected_requests += 1;
     }
     rejected_counter_->inc();
-    request.fail(std::make_exception_ptr(
+    request.promise.set_exception(std::make_exception_ptr(
         EngineError(EngineErrorCode::kShutdown,
                     "SolverEngine: stopped before dispatch")));
   }
@@ -443,7 +409,7 @@ void SolverEngine::failExpired(std::vector<SolveRequest>& expired) {
       base::MutexLock lock(reg.stats_mu);
       reg.expired_requests += 1;
     }
-    request.fail(std::make_exception_ptr(
+    request.promise.set_exception(std::make_exception_ptr(
         EngineError(EngineErrorCode::kExpired,
                     "SolverEngine: deadline expired before dispatch")));
   }
@@ -488,12 +454,10 @@ double SolverEngine::estQueueDelay(
 }
 
 void SolverEngine::overloadUpdate(std::chrono::steady_clock::time_point now) {
-  const OverloadController::Step step = overload_->update(estQueueDelay(now));
-  if (!step.moved()) return;
+  const std::optional<bool> flipped = overload_->update(estQueueDelay(now));
+  if (!flipped) return;
   overload_steps_counter_->inc();
-  STS_TRACE_INSTANT("engine", "overload_step", "from",
-                    static_cast<std::uint64_t>(step.from), "to",
-                    static_cast<std::uint64_t>(step.to));
+  STS_TRACE_INSTANT("engine", "overload_step", "engaged", *flipped ? 1 : 0);
 }
 
 int SolverEngine::baseTeam(const exec::TriangularSolver& solver) const {
@@ -584,7 +548,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
                                 std::size_t backlog) {
   Registered& reg = registered(batch.front().solver);
   const exec::TriangularSolver& solver = *reg.solver;
-  const auto n = static_cast<std::size_t>(solver.numRows());
   const std::size_t k = batch.size();
   const int base_team = baseTeam(solver);  // shallow-queue reference
   const int desired = chooseTeam(reg, backlog);
@@ -633,31 +596,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   bool tiled_batch = false;
   double pack_elapsed = 0.0;
   double unpack_elapsed = 0.0;
-  // Ladder read: one relaxed load per batch, clamped below the reject
-  // rung (the top rung gates admission, not execution). Precision shed
-  // (rung > 0) forces the bounded-stale path on a kExact engine too, with
-  // staleness raised by the rung and tolerance relaxed by growth^rung — a
-  // kBoundedStale engine degrades FROM its configured staleness.
-  const int rung =
-      overload_ ? std::min(overload_->rung(), options_.overload_max_rung - 1)
-                : 0;
-  const bool shed = rung > 0;
-  // Bounded-stale tier: route through the SSP executor with the engine's
-  // staleness/tolerance knobs; what the refinement loop did feeds the
-  // serving stats below.
-  const bool bounded_stale =
-      options_.tier == ServiceTier::kBoundedStale || shed;
-  exec::SspOptions ssp_opts;
-  ssp_opts.staleness = (options_.tier == ServiceTier::kBoundedStale
-                            ? options_.stale_supersteps
-                            : 0) +
-                       static_cast<sts::index_t>(rung);
-  ssp_opts.tolerance =
-      options_.stale_tolerance *
-      std::pow(options_.overload_tolerance_growth, static_cast<double>(rung));
-  ssp_opts.max_refinements = options_.stale_max_refine;
-  exec::SspResult ssp_result;
-
   std::exception_ptr error;
   // Per-batch attribution sink: the executor threads' StepTracers flush
   // their compute/wait nanoseconds here (EngineOptions::trace); aggregated
@@ -679,8 +617,8 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     if (options_.trace) lease.context().setTrace(&batch_trace);
     // Every answer travels home in its request's own b vector, which the
     // resolution below moves into the response.
-    if (!bounded_stale && batch.front().nrhs == 1) {
-      // Exact single-RHS batch, k = 1 included: the k request vectors are
+    if (batch.front().nrhs == 1) {
+      // Single-RHS batch, k = 1 included: the k request vectors are
       // gathered straight into the lease's pooled staging tiles in the
       // solver's internal order, solved there (a one-column layout runs
       // the vector kernel), and gathered back into each request's b once
@@ -719,67 +657,20 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
                                           u0)
                 .count();
       }
-    } else if (k == 1) {
-      // A lone multi-RHS request, or a lone bounded-stale one: solved into
-      // a fresh result that then replaces its b.
+    } else {
+      // A lone multi-RHS request (those are never coalesced): solved into a
+      // fresh result that then replaces its b. The solver permutes and
+      // packs the tiles in one gather pass.
       SolveRequest& request = batch.front();
       total_rhs = request.nrhs;
+      tiled_batch = true;
       std::vector<double> x(request.b.size());
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        if (!bounded_stale) {
-          // The solver permutes and packs the tiles in one gather pass.
-          tiled_batch = true;
-          solver.solveMultiRhsTiled(request.b, x, request.nrhs,
-                                    lease.context(), team, fold_policy,
-                                    storage);
-        } else if (request.nrhs == 1) {
-          ssp_result =
-              solver.solveBoundedStale(request.b, x, ssp_opts, lease.context(),
-                                       team, fold_policy, storage);
-        } else {
-          ssp_result = solver.solveBoundedStaleMultiRhs(
-              request.b, x, request.nrhs, ssp_opts, lease.context(), team,
-              fold_policy, storage);
-        }
+        solver.solveMultiRhsTiled(request.b, x, request.nrhs, lease.context(),
+                                  team, fold_policy, storage);
       }
       request.b = std::move(x);
-    } else {
-      // Coalesced bounded-stale batch: k single-RHS requests become the k
-      // columns of one row-major n x k SpTRSM — one schedule traversal for
-      // all of them. It stays row-major: the SSP multi-RHS kernels read
-      // whole dropped entries per row, which the column tiling would split
-      // across sweeps.
-      total_rhs = static_cast<sts::index_t>(k);
-      std::vector<double> b_packed(n * k);
-      std::vector<double> x_packed(n * k);
-      {
-        STS_TRACE_SPAN1("engine", "pack", "rhs", k);
-        const auto p0 = std::chrono::steady_clock::now();
-        for (std::size_t j = 0; j < k; ++j) {
-          const auto& b = batch[j].b;
-          for (std::size_t i = 0; i < n; ++i) b_packed[i * k + j] = b[i];
-        }
-        pack_elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          p0)
-                .count();
-      }
-      {
-        STS_TRACE_SPAN1("engine", "solve", "team", team);
-        ssp_result = solver.solveBoundedStaleMultiRhs(
-            b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
-            lease.context(), team, fold_policy, storage);
-      }
-      STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
-      const auto u0 = std::chrono::steady_clock::now();
-      for (std::size_t j = 0; j < k; ++j) {
-        auto& x = batch[j].b;
-        for (std::size_t i = 0; i < n; ++i) x[i] = x_packed[i * k + j];
-      }
-      unpack_elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - u0)
-              .count();
     }
     // Read the pin outcome before the context returns to the pool (the
     // pool clears pin state on release so placements never leak).
@@ -793,29 +684,19 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   STS_TRACE_INSTANT("engine", "batch_done", "rhs",
                     static_cast<std::uint64_t>(total_rhs), "team",
                     static_cast<std::uint64_t>(team));
-  // Refresh the controller's service-rate model and take one ladder step
-  // off the post-batch queue state — BEFORE the promises resolve, so a
-  // client reacting to its future already sees the stepped-down rung.
+  // Refresh the controller's service-rate model and take one latch
+  // decision off the post-batch queue state — BEFORE the promises resolve,
+  // so a client reacting to its future already sees a released latch.
   batch_seconds_hist_->record(batch_seconds);
   batch_p50_.store(batch_seconds_hist_->quantile(0.5),
                    std::memory_order_relaxed);
   if (overload_) overloadUpdate(t1);
 
-  // How (whether) this batch was degraded, stamped on every response the
-  // extended futures carry — precision shedding is visible, never silent.
-  DegradeInfo degrade;
-  degrade.tier =
-      bounded_stale ? ServiceTier::kBoundedStale : ServiceTier::kExact;
-  degrade.staleness = bounded_stale ? ssp_opts.staleness : 0;
-  degrade.rung = rung;
-  degrade.residual = bounded_stale ? ssp_result.residual : 0.0;
-  degrade.tolerance = bounded_stale ? ssp_opts.tolerance : 0.0;
-  degrade.degraded = shed;
-  for (std::size_t j = 0; j < k; ++j) {
+  for (SolveRequest& request : batch) {
     if (error) {
-      batch[j].fail(error);
+      request.promise.set_exception(error);
     } else {
-      batch[j].resolve(std::move(batch[j].b), degrade);
+      request.promise.set_value(std::move(request.b));
     }
   }
 
@@ -836,20 +717,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   reg.migrated_threads += migrated_threads;
   if (!error && storage == exec::StorageKind::kSlab) reg.slab_batches += 1;
   if (!error && tiled_batch) reg.tiled_batches += 1;
-  if (!error && shed) {
-    reg.degraded_batches += 1;
-    degraded_counter_->add(static_cast<std::uint64_t>(k));
-  }
-  if (!error && bounded_stale) {
-    reg.ssp_batches += 1;
-    reg.refine_iterations += static_cast<std::uint64_t>(ssp_result.refinements);
-    reg.last_residual = ssp_result.residual;
-    reg.refine_hist->record(static_cast<double>(ssp_result.refinements));
-    if (ssp_result.fell_back) {
-      reg.ssp_fallbacks += 1;
-      reg.ssp_fallbacks_counter->inc();
-    }
-  }
   reg.busy_seconds += batch_seconds;
   reg.pack_seconds += pack_elapsed;
   reg.unpack_seconds += unpack_elapsed;
@@ -928,13 +795,8 @@ SolverServingStats SolverEngine::stats(SolverId id) const {
     out.tiled_batches = reg.tiled_batches;
     out.seeded_team = reg.seeded_team;
     out.slo_steps = reg.slo_steps;
-    out.ssp_batches = reg.ssp_batches;
-    out.refine_iterations = reg.refine_iterations;
-    out.ssp_fallbacks = reg.ssp_fallbacks;
-    out.last_residual = reg.last_residual;
     out.rejected_requests = reg.rejected_requests;
     out.expired_requests = reg.expired_requests;
-    out.degraded_batches = reg.degraded_batches;
     out.busy_seconds = reg.busy_seconds;
     out.pack_seconds = reg.pack_seconds;
     out.unpack_seconds = reg.unpack_seconds;

@@ -75,28 +75,19 @@
 ///    queue the effective coalescing cap rises toward 2 * max_batch while
 ///    teams shrink, so the barrier amortization grows exactly when the
 ///    backlog can feed it.
-///  * Service tiers (EngineOptions::tier): the exact tier (default) serves
-///    bitwise-deterministic direct solves; the bounded-stale tier routes
-///    every batch through TriangularSolver::solveBoundedStale* — SSP
-///    sweeps with relaxed barriers plus residual-checked refinement to
-///    `stale_tolerance` (exec/ssp.hpp) — for preconditioner-application
-///    serving, where the surrounding Krylov loop absorbs a bounded
-///    residual. Refinement counts, fallbacks, and the last residual land
-///    in SolverServingStats and the metrics registry. Tiers compose with
-///    elasticity, budgeting, pinning, and storage. Exact-tier single-RHS
-///    batches, k = 1 included, run packTiles → solveTiles → unpackTiles
-///    through the leased context's pooled staging tiles; bounded-stale
-///    batches run the row-major SSP path on per-batch buffers.
+///  * Every batch runs the exact executors, so each answer is the
+///    bitwise-deterministic solution of T x = b. Single-RHS batches, k = 1
+///    included, run packTiles → solveTiles → unpackTiles through the
+///    leased context's pooled staging tiles; a lone multi-RHS request runs
+///    solveMultiRhsTiled.
 ///  * Per-solver throughput/latency statistics aggregate via the
 ///    harness::stats quantile helpers (SolverServingStats).
-///  * Request lifecycle (PR 10, docs/ROBUSTNESS.md): the SubmitOptions
-///    overloads attach a priority class and deadlines to each request;
-///    admission control (EngineOptions::max_queue_depth,
-///    overload_control) resolves refused work with typed EngineErrors;
-///    the overload ladder (engine/overload.hpp) sheds precision —
-///    bounded-stale batches with raised staleness, visible per-response
-///    as DegradeInfo — before it sheds requests. Every accepted future
-///    resolves, whatever happens to the engine.
+///  * Request lifecycle (docs/ROBUSTNESS.md): SubmitOptions attach a
+///    priority class and deadlines to each request; admission control
+///    (EngineOptions::max_queue_depth, and the overload latch of
+///    engine/overload.hpp under overload_control) resolves refused work
+///    with typed EngineErrors. Every future resolves, whatever happens to
+///    the engine.
 
 namespace sts::engine {
 
@@ -129,36 +120,26 @@ class SolverEngine {
 
   /// Registers an analyzed solver for serving. The engine shares ownership;
   /// callers may keep using the solver directly (context overloads only, if
-  /// concurrent with serving). Thread-safe. An engine that can route a
-  /// batch to the bounded-stale tier (`tier == kBoundedStale` or
-  /// `overload_control`) builds the solver's SSP executor here
-  /// (TriangularSolver::prepareBoundedStale), so no request pays for it.
+  /// concurrent with serving). Thread-safe.
   SolverId registerSolver(std::shared_ptr<const exec::TriangularSolver> solver);
 
-  /// Queue x = T^{-1} b (original row ordering). On the exact tier the
-  /// answer is written into b's own buffer, so a caller that moves b in
-  /// gets that buffer back. Throws std::invalid_argument on size mismatch
-  /// or unknown id, std::runtime_error after shutdown.
-  std::future<std::vector<double>> submit(SolverId id, std::vector<double> b);
+  /// Queue x = T^{-1} b (original row ordering), with the priority class
+  /// and deadlines of `submit_options`. The answer is written into b's own
+  /// buffer, so a caller that moves b in gets that buffer back. Refused or
+  /// expired requests resolve the future with a typed EngineError
+  /// (kRejected / kExpired / kShutdown) — it NEVER blocks forever. Throws
+  /// EngineError{kShutdown} after shutdown, std::invalid_argument on a
+  /// size mismatch, an unknown id, or a negative or NaN deadline.
+  std::future<std::vector<double>> submit(
+      SolverId id, std::vector<double> b,
+      const SubmitOptions& submit_options = {});
 
   /// Queue an explicit multi-RHS solve, b row-major n x nrhs; the future
   /// carries x in the same layout. Multi-RHS requests are never coalesced
-  /// with others — they already amortize internally.
-  std::future<std::vector<double>> submitMulti(SolverId id,
-                                               std::vector<double> b,
-                                               sts::index_t nrhs);
-
-  /// Lifecycle-aware submission: priority class plus optional deadlines
-  /// (SubmitOptions). The future carries the solution AND its DegradeInfo;
-  /// refused or expired requests resolve it with a typed EngineError
-  /// (kRejected / kExpired / kShutdown) — it NEVER blocks forever. Throws
-  /// EngineError{kShutdown} after shutdown, std::invalid_argument on bad
-  /// sizes or negative deadlines.
-  std::future<SolveResponse> submit(SolverId id, std::vector<double> b,
-                                    const SubmitOptions& submit_options);
-  std::future<SolveResponse> submitMulti(SolverId id, std::vector<double> b,
-                                         sts::index_t nrhs,
-                                         const SubmitOptions& submit_options);
+  /// with others — they already amortize internally. Otherwise as submit().
+  std::future<std::vector<double>> submitMulti(
+      SolverId id, std::vector<double> b, sts::index_t nrhs,
+      const SubmitOptions& submit_options = {});
 
   /// Pause/resume dispatch (submissions still enqueue while paused).
   void pause();
@@ -203,9 +184,9 @@ class SolverEngine {
   /// options().core_budget > 0). peakInUse() <= options().core_budget is
   /// the oversubscription invariant the tests pin.
   const CoreBudget& coreBudget() const { return budget_; }
-  /// The degradation ladder's current rung (0 when overload_control is
-  /// off or the ladder is idle). Observability for tests and benches.
-  int overloadRung() const { return overload_ ? overload_->rung() : 0; }
+  /// Whether the overload latch is engaged (false when overload_control is
+  /// off). Observability for tests and benches.
+  bool overloadEngaged() const { return overload_ && overload_->engaged(); }
 
  private:
   /// Sliding window of recent request latencies feeding the SLO
@@ -241,10 +222,6 @@ class SolverEngine {
     obs::Counter* rhs_solved_counter = nullptr;
     obs::Counter* batches_counter = nullptr;
     obs::Counter* slo_steps_counter = nullptr;
-    /// Bounded-stale tier instruments: refinement-sweep distribution per
-    /// batch plus fallback count (zero on exact-tier engines).
-    obs::Histogram* refine_hist = nullptr;
-    obs::Counter* ssp_fallbacks_counter = nullptr;
     /// Bytes the pool's staging tiles hold (ContextPool::stagingBytes),
     /// refreshed after every batch.
     obs::Gauge* staging_bytes_gauge = nullptr;
@@ -278,13 +255,8 @@ class SolverEngine {
     std::uint64_t tiled_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t team_size_accum STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t slo_steps STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t ssp_batches STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t refine_iterations STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t ssp_fallbacks STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t rejected_requests STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t expired_requests STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t degraded_batches STS_GUARDED_BY(stats_mu) = 0;
-    double last_residual STS_GUARDED_BY(stats_mu) = 0.0;
     double busy_seconds STS_GUARDED_BY(stats_mu) = 0.0;
     double pack_seconds STS_GUARDED_BY(stats_mu) = 0.0;
     double unpack_seconds STS_GUARDED_BY(stats_mu) = 0.0;
@@ -342,16 +314,15 @@ class SolverEngine {
   /// mode otherwise.
   static CoreBudget makeBudget(const EngineOptions& options);
   Registered& registered(SolverId id) const;
-  /// Validate sizes/deadlines and build the internal request record (the
-  /// promise is still unarmed — the caller picks legacy vs extended).
+  /// Validate sizes/deadlines and build the internal request record.
   SolveRequest buildRequest(SolverId id, std::vector<double> b,
                             sts::index_t nrhs, const SubmitOptions& opts,
                             Registered** reg_out);
   /// Admission control + enqueue: either the request lands in the queue
   /// (admitted) or its future resolves with a typed EngineError right here
-  /// (kRejected on a full queue / ladder-top throughput work); throws
-  /// EngineError{kShutdown} when the queue is closed. Feeds the overload
-  /// controller on every accepted submission.
+  /// (kRejected on a full queue, or for throughput work while the overload
+  /// latch is engaged); throws EngineError{kShutdown} when the queue is
+  /// closed. Feeds the overload controller on every accepted submission.
   void dispatch(SolveRequest&& request, Registered& reg);
   /// Resolve `request` with EngineError{kRejected} and account it.
   void rejectRequest(SolveRequest&& request, Registered& reg,
@@ -363,8 +334,8 @@ class SolverEngine {
   /// (depth x p50 batch seconds / workers) and the oldest queued wait —
   /// the latter keeps a stalled worker visible when depth alone is static.
   double estQueueDelay(std::chrono::steady_clock::time_point now) const;
-  /// One ladder decision off a fresh delay estimate; transitions emit an
-  /// `overload_step` trace instant and count in sts.engine.overload_steps.
+  /// One latch decision off a fresh delay estimate; a flip emits an
+  /// `overload_step` trace instant and counts in sts.engine.overload_steps.
   void overloadUpdate(std::chrono::steady_clock::time_point now);
 
   EngineOptions options_;
@@ -376,13 +347,12 @@ class SolverEngine {
   /// platform has affinity syscalls — the three conditions under which
   /// executeBatch arms per-batch pinning.
   bool pin_enabled_ = false;
-  /// The degradation ladder (EngineOptions::overload_control; null = off).
+  /// The overload latch (EngineOptions::overload_control; null = off).
   std::unique_ptr<OverloadController> overload_;
   /// Engine-wide lifecycle instruments (owned by metrics_, set in the
   /// ctor, updated lock-free).
   obs::Histogram* batch_seconds_hist_ = nullptr;
   obs::Counter* admitted_counter_ = nullptr;
-  obs::Counter* degraded_counter_ = nullptr;
   obs::Counter* rejected_counter_ = nullptr;
   obs::Counter* expired_counter_ = nullptr;
   obs::Counter* overload_steps_counter_ = nullptr;

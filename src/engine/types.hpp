@@ -23,35 +23,14 @@ namespace sts::engine {
 /// never recycled for the engine's lifetime.
 using SolverId = std::uint32_t;
 
-/// Latency/accuracy service tier of every batch the engine executes.
-///
-/// kExact runs the exact executors: results are bitwise-deterministic
-/// solutions of T x = b — the contract direct solves need. kBoundedStale
-/// runs the SSP executor (exec/ssp.hpp): sweeps barrier only every
-/// `stale_supersteps + 1` supersteps and residual-checked refinement
-/// restores ||b - T x||_inf <= `stale_tolerance` (exact fallback past
-/// `stale_max_refine` sweeps) — the contract preconditioner applications
-/// need (examples/iccg_preconditioner), where the surrounding Krylov
-/// iteration already absorbs a bounded residual. With stale_supersteps ==
-/// 0 the tier degenerates to the exact walk bitwise.
-enum class ServiceTier {
-  kExact,
-  kBoundedStale,
-};
-
-inline const char* serviceTierName(ServiceTier tier) {
-  return tier == ServiceTier::kExact ? "exact" : "bounded-stale";
-}
-
 /// Scheduling class of a submission (SubmitOptions::priority).
 ///
 /// kLatency requests are interactive traffic: they jump the queue ahead of
-/// throughput work, are never coalesced behind a throughput batch, and —
-/// under admission control — are the last class the overload ladder
-/// rejects. kThroughput (the default, and the class of every legacy
-/// submit() call) is bulk work that tolerates queueing: it ages into
-/// batches under latency pressure (the starvation bump) and is shed first
-/// when the engine saturates.
+/// throughput work, are never coalesced behind a throughput batch, and are
+/// still admitted while the overload latch is engaged. kThroughput (the
+/// default) is bulk work that tolerates queueing: it ages into batches
+/// under latency pressure (the starvation bump) and is the class the latch
+/// rejects when the engine saturates.
 enum class RequestPriority {
   kThroughput,
   kLatency,
@@ -61,9 +40,10 @@ inline const char* requestPriorityName(RequestPriority priority) {
   return priority == RequestPriority::kLatency ? "latency" : "throughput";
 }
 
-/// Per-submission lifecycle knobs (the extended submit()/submitMulti()
-/// overloads; the legacy overloads behave as all-defaults). Durations are
-/// relative to the submit call; 0 disables the respective deadline.
+/// Per-submission lifecycle knobs (the last, defaulted parameter of
+/// submit()/submitMulti()). Durations are relative to the submit call; 0
+/// disables the respective deadline, and a budget too far out for the
+/// steady clock to represent (+inf included) never expires.
 struct SubmitOptions {
   RequestPriority priority = RequestPriority::kThroughput;
   /// End-to-end budget: a request not yet COMMITTED to a batch when this
@@ -79,7 +59,7 @@ struct SubmitOptions {
 
 /// Why a request's future was resolved exceptionally (EngineError::code).
 enum class EngineErrorCode {
-  kRejected,  ///< admission control refused it (queue full / ladder top)
+  kRejected,  ///< admission control refused it (queue full / latch engaged)
   kExpired,   ///< deadline or max_queue_wait elapsed while queued
   kShutdown,  ///< the engine stopped before the request could run
 };
@@ -107,33 +87,6 @@ class EngineError : public std::runtime_error {
   EngineErrorCode code_;
 };
 
-/// How (whether) the overload ladder degraded one response — attached to
-/// every SolveResponse so clients can see the precision they were served
-/// (precision-shedding is visible, never silent).
-struct DegradeInfo {
-  /// The tier the batch actually ran (kBoundedStale when the ladder was
-  /// engaged, even on a kExact-configured engine).
-  ServiceTier tier = ServiceTier::kExact;
-  /// Effective SSP staleness of the batch (0 on the exact tier).
-  sts::index_t staleness = 0;
-  /// The ladder rung at execution: 0 = idle (configured behavior),
-  /// 1..overload_max_rung-1 = bounded-stale precision shedding.
-  int rung = 0;
-  /// Final ||b - T x||_inf of the refinement loop (0 on exact solves).
-  double residual = 0.0;
-  /// The tolerance the refinement was held to (0 on exact solves).
-  double tolerance = 0.0;
-  /// Convenience: rung > 0, i.e. this response was degraded by overload
-  /// rather than by the engine's configured tier.
-  bool degraded = false;
-};
-
-/// The extended-submit result: the solution plus its degradation record.
-struct SolveResponse {
-  std::vector<double> x;
-  DegradeInfo degrade;
-};
-
 /// ## How the adaptive options interact
 ///
 /// `fold_policy` / `storage` (exec::SolverOptions), `target_p95`,
@@ -149,9 +102,8 @@ struct SolveResponse {
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
 /// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
 /// | `storage` (engine or solver) | WHAT memory layout the hot loop walks | engine `storage` overrides each solver's `SolverOptions::storage` when set; kSlab streams per-(team, policy) thread-local packed records, kSharedCsr walks the analyzed CSR. Layout only — results stay bitwise identical |
-/// | `tier`                 | WHICH numerical contract batches satisfy | kExact (default): bitwise-deterministic direct solves. kBoundedStale: SSP sweeps with `stale_supersteps` relaxed barriers + residual-checked refinement to `stale_tolerance` (cap `stale_max_refine`, then exact fallback). Composes with every row above — elasticity, budget, pinning, and storage apply unchanged; exact-tier batches run on the solver's RHS column tiles, bounded-stale batches on the row-major SSP path. Refinement counts/residuals land in SolverServingStats and the metrics registry |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
-/// | `overload_control`     | WHETHER the degradation ladder runs | off (default): the configured `tier` serves every batch, nothing is rejected by pressure. on: an `OverloadController` (hysteresis like the SLO controller) estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait) and walks exact -> bounded-stale precision shedding (staleness/tolerance raised per rung, surfaced per-response in `DegradeInfo`) -> reject new throughput-class work at the top rung. Composes with `tier`: a kBoundedStale engine degrades FROM its configured staleness. Every transition is a trace instant + registry counters (`sts.engine.admitted/degraded/rejected/expired`) |
+/// | `overload_control`     | WHETHER the overload latch runs | off (default): nothing is rejected by pressure. on: an `OverloadController` estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait); once it reaches `overload_target_delay` the latch engages and rejects new throughput-class submissions (latency-class work is still admitted) until the delay falls to (1 - `overload_hysteresis`) x target. Every admitted batch still runs the exact executors. Each flip is an `overload_step` trace instant; admissions and refusals count in `sts.engine.admitted/rejected/expired/overload_steps` |
 /// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
 ///
 /// Pipeline per batch: elastic policy picks a DESIRED width → CoreBudget
@@ -243,46 +195,21 @@ struct EngineOptions {
   /// `elastic`; off by default because it doubles the per-batch staging
   /// memory and coalesced-request latency envelope `max_batch` implies.
   bool adaptive_batch = false;
-  /// The numerical contract every batch satisfies (see ServiceTier): the
-  /// exact executors, or the bounded-stale SSP path with the three
-  /// `stale_*` knobs below. A per-engine choice — register the same
-  /// analyzed solver with two engines to serve both tiers.
-  ServiceTier tier = ServiceTier::kExact;
-  /// kBoundedStale only: supersteps a stale read may lag (SSP chunk width
-  /// is stale_supersteps + 1; 0 = exact walk, bitwise).
-  sts::index_t stale_supersteps = 1;
-  /// kBoundedStale only: absolute bound on ||b - T x||_inf the refinement
-  /// loop must reach.
-  double stale_tolerance = 1e-8;
-  /// kBoundedStale only: refinement sweeps before the exact fallback.
-  int stale_max_refine = 20;
   /// Bound on queued (not yet popped) requests; pushes beyond it resolve
   /// the future with EngineError{kRejected}. 0 = unbounded (legacy).
   std::size_t max_queue_depth = 0;
-  /// Master switch of the admission-control + degradation ladder (see the
-  /// option table row above). Off by default: the ladder never moves and
-  /// nothing is rejected by pressure.
+  /// Master switch of the overload latch (see the option table row
+  /// above). Off by default: nothing is rejected by pressure.
   bool overload_control = false;
-  /// Ladder rung r is appropriate while the estimated queue delay sits in
-  /// [r, r+1) x this target (seconds). Smaller = the ladder engages
-  /// earlier. Must be > 0 when `overload_control` is set.
+  /// Estimated queue delay (seconds) at which the latch engages. Smaller =
+  /// the engine starts refusing throughput-class work earlier. Must be > 0
+  /// when `overload_control` is set.
   double overload_target_delay = 0.05;
-  /// Hysteresis band on the way DOWN the ladder (in target-delay units):
-  /// the rung only steps down once pressure clears the current rung by
-  /// this margin, so the ladder cannot dither at a rung boundary — the
-  /// same asymmetry as the SLO controller's deadband.
+  /// Release margin in target-delay units: an engaged latch releases only
+  /// once the delay falls to (1 - this) x target, so it cannot dither at
+  /// the target — the same asymmetry as the SLO controller's deadband.
+  /// Must be >= 0.
   double overload_hysteresis = 0.5;
-  /// Top of the ladder: rungs 1..overload_max_rung-1 shed precision
-  /// (bounded-stale with staleness raised by the rung); at the top rung
-  /// new throughput-class submissions are rejected (latency-class work is
-  /// still admitted). Must be >= 1.
-  int overload_max_rung = 3;
-  /// Tolerance multiplier per ladder rung: rung r serves at
-  /// stale_tolerance x growth^r. The default 1.0 keeps the configured
-  /// tolerance at every rung (the refinement loop simply works harder), so
-  /// degraded residuals always stay <= stale_tolerance — raise it only
-  /// when refinement itself is the bottleneck under overload.
-  double overload_tolerance_growth = 1.0;
   /// Arm per-batch compute-vs-wait attribution (obs::SolveTrace on the
   /// leased context): `traceSummary()` then reports per-superstep compute
   /// and barrier/p2p-wait time per (team, storage) combination. The cost
@@ -295,13 +222,10 @@ struct EngineOptions {
 
 /// One queued solve. `b` is row-major n x nrhs in the ORIGINAL row
 /// ordering; the fulfilled future carries x in the same layout. The engine
-/// leaves the answer in `b` and moves it into the future, and an
-/// exact-tier single-RHS batch writes it into b's own buffer, so that
-/// answer comes back in the very buffer the caller submitted. Exactly
-/// one of the two promises is armed: the legacy vector promise for the
-/// plain submit() overloads, the SolveResponse promise (extended == true)
-/// for the SubmitOptions overloads — either way the engine resolves it
-/// exactly once (value, or a typed EngineError / solve exception).
+/// leaves the answer in `b` and moves it into the future, and a
+/// single-RHS batch writes it into b's own buffer, so that answer comes
+/// back in the very buffer the caller submitted. The engine resolves the
+/// promise exactly once (value, or a typed EngineError / solve exception).
 struct SolveRequest {
   SolverId solver = 0;
   sts::index_t nrhs = 1;
@@ -314,25 +238,6 @@ struct SolveRequest {
   /// queued past this resolves with EngineError{kExpired} at the next pop.
   std::chrono::steady_clock::time_point expires_at =
       std::chrono::steady_clock::time_point::max();
-  bool extended = false;
-  std::promise<SolveResponse> promise_ex;
-
-  /// Resolve whichever promise is armed with a success value.
-  void resolve(std::vector<double>&& x, const DegradeInfo& degrade) {
-    if (extended) {
-      promise_ex.set_value(SolveResponse{std::move(x), degrade});
-    } else {
-      promise.set_value(std::move(x));
-    }
-  }
-  /// Resolve whichever promise is armed with an exception.
-  void fail(std::exception_ptr error) {
-    if (extended) {
-      promise_ex.set_exception(std::move(error));
-    } else {
-      promise.set_exception(std::move(error));
-    }
-  }
 };
 
 /// Per-solver serving statistics (SolverEngine::stats snapshot).
@@ -369,16 +274,15 @@ struct SolverServingStats {
   /// Batches executed on the slab (thread-local packed) storage layout —
   /// EngineOptions::storage override or the solver's own default.
   std::uint64_t slab_batches = 0;
-  /// Exact-tier multi-RHS batches, all run on the solver's column tiles: a
+  /// Multi-RHS batches, all run on the solver's column tiles: a
   /// coalesced batch of k > 1 requests (packed into pooled staging tiles
   /// and solved via solveTiles) or a lone submitMulti request
   /// (solveMultiRhsTiled). Single-column batches do not count.
   std::uint64_t tiled_batches = 0;
-  /// Summed wall time spent packing request vectors into the batch layout
-  /// before the solve, per solver: the staging tiles of every exact-tier
-  /// single-RHS batch (k = 1 included), or the row-major matrix of a
-  /// coalesced bounded-stale batch. Lone multi-RHS and lone bounded-stale
-  /// requests are permuted inside the solve and add nothing here.
+  /// Summed wall time spent packing request vectors into the staging tiles
+  /// of every single-RHS batch (k = 1 included) before the solve, per
+  /// solver. Lone multi-RHS requests are permuted inside the solve and add
+  /// nothing here.
   double pack_seconds = 0.0;
   /// Summed wall time spent unpacking the solved batch back into the
   /// requests' own b vectors, which then carry the answers; same batches
@@ -395,28 +299,14 @@ struct SolverServingStats {
   /// a shallow queue — do not count). Each actuation is also emitted as an
   /// `slo_step` trace instant when a TraceSession is active.
   std::uint64_t slo_steps = 0;
-  /// Batches served through the bounded-stale tier (EngineOptions::tier ==
-  /// ServiceTier::kBoundedStale; 0 on exact-tier engines).
-  std::uint64_t ssp_batches = 0;
-  /// Refinement sweeps summed over bounded-stale batches (also a registry
-  /// histogram, `sts.solver<id>.refine_iterations`); 0 sweeps means the
-  /// first SSP sweep already met the tolerance — the staleness-0 bitwise
-  /// regime always lands here.
-  std::uint64_t refine_iterations = 0;
-  /// Bounded-stale batches whose refinement cap fired the exact fallback.
-  std::uint64_t ssp_fallbacks = 0;
-  /// Final ||b - T x||_inf of the most recent bounded-stale batch.
-  double last_residual = 0.0;
-  /// Submissions refused by admission control (bounded queue full, or the
-  /// overload ladder at its top rung for throughput-class work). Their
-  /// futures resolved with EngineError{kRejected}.
+  /// Submissions refused by admission control (bounded queue full, or
+  /// throughput-class work while the overload latch is engaged) or failed
+  /// fast by stop(). Their futures resolved with EngineError{kRejected}
+  /// (kShutdown for stop()).
   std::uint64_t rejected_requests = 0;
   /// Requests lazily dropped at queue pop because their deadline or
   /// max-queue-wait budget elapsed (EngineError{kExpired}).
   std::uint64_t expired_requests = 0;
-  /// Batches served at an overload-ladder rung > 0 (precision shed:
-  /// bounded-stale with raised staleness; DegradeInfo on every response).
-  std::uint64_t degraded_batches = 0;
   /// Latency quantiles over every completion, from the registry's
   /// log-bucketed histogram (<= ~9% relative bucket error — see
   /// obs/registry.hpp; prior PRs computed them exactly over a 64Ki-sample

@@ -158,121 +158,6 @@ inline void computeRowMultiTiled(std::span<const offset_t> row_ptr,
                         diag - begin, values[diag], b_tile, x_tile, i, w);
 }
 
-/// ---- SSP (bounded-staleness) kernel variants ---------------------------
-///
-/// The stale-read guard of the SSP executor (ssp.hpp). The SSP sweep
-/// chunks supersteps into blocks of `staleness + 1` and barriers only at
-/// chunk boundaries; within a chunk, an operand x[j] whose row belongs to
-/// the SAME chunk but a DIFFERENT thread is still being computed, so the
-/// guard drops that term from the accumulation — which is exactly reading
-/// the refinement iterate's previous value for it (zero on the first
-/// sweep of a correction solve). The residual-checked refinement loop
-/// feeds every dropped operand back one iteration later, so each such
-/// read is at most `staleness` supersteps (one chunk) old: the SSP
-/// semantics of the elasticity follow-up paper.
-///
-/// With staleness 0 the chunk is a single superstep and a valid schedule
-/// has no cross-thread same-superstep dependencies, so the guard never
-/// fires and every kernel below runs the *identical* arithmetic sequence
-/// as its exact sibling above — the s=0 bitwise contract
-/// (tests/test_ssp.cpp pins it per scheduler kind x team x storage).
-struct SspGuard {
-  const index_t* row_step;  ///< row -> superstep of the analyzed schedule
-  const int* owner;         ///< row -> folded thread that computes it
-  index_t chunk_begin;      ///< first superstep of the executing chunk
-  int thread;               ///< the executing folded thread
-
-  /// True when entry (i, j)'s operand is same-chunk and cross-thread:
-  /// dependencies always point at earlier supersteps, so `row_step[j] >=
-  /// chunk_begin` means row j lives inside the current chunk.
-  bool drops(index_t j) const {
-    return row_step[static_cast<size_t>(j)] >= chunk_begin &&
-           owner[static_cast<size_t>(j)] != thread;
-  }
-};
-
-/// computeRow with the SSP guard: dropped entries contribute nothing.
-/// When the guard never fires the accumulation is bitwise computeRow.
-inline void computeRowSsp(std::span<const offset_t> row_ptr,
-                          std::span<const index_t> col_idx,
-                          std::span<const double> values,
-                          std::span<const double> b, std::span<double> x,
-                          index_t i, const SspGuard& guard) {
-  const auto begin = static_cast<size_t>(row_ptr[static_cast<size_t>(i)]);
-  const auto diag =
-      static_cast<size_t>(row_ptr[static_cast<size_t>(i) + 1]) - 1;
-  double acc = b[static_cast<size_t>(i)];
-  for (size_t k = begin; k < diag; ++k) {
-    const index_t j = col_idx[k];
-    if (guard.drops(j)) continue;
-    acc -= values[k] * x[static_cast<size_t>(j)];
-  }
-  x[static_cast<size_t>(i)] = acc / values[diag];
-}
-
-/// computeRowMulti with the SSP guard (the whole entry is dropped, so
-/// every RHS column sees the same sparsified operator).
-inline void computeRowMultiSsp(std::span<const offset_t> row_ptr,
-                               std::span<const index_t> col_idx,
-                               std::span<const double> values,
-                               std::span<const double> b,
-                               std::span<double> x, index_t i, size_t r,
-                               const SspGuard& guard) {
-  const auto begin = static_cast<size_t>(row_ptr[static_cast<size_t>(i)]);
-  const auto diag =
-      static_cast<size_t>(row_ptr[static_cast<size_t>(i) + 1]) - 1;
-  double* xi = x.data() + static_cast<size_t>(i) * r;
-  const double* bi = b.data() + static_cast<size_t>(i) * r;
-  for (size_t c = 0; c < r; ++c) xi[c] = bi[c];
-  for (size_t e = begin; e < diag; ++e) {
-    const index_t j = col_idx[e];
-    if (guard.drops(j)) continue;
-    const double a = values[e];
-    const double* xj = x.data() + static_cast<size_t>(j) * r;
-    for (size_t c = 0; c < r; ++c) xi[c] -= a * xj[c];
-  }
-  const double d = values[diag];
-  for (size_t c = 0; c < r; ++c) xi[c] /= d;
-}
-
-/// computeRowPacked with the SSP guard (the slab walk's SSP form).
-inline void computeRowPackedSsp(const index_t* cols, const double* vals,
-                                std::size_t nnz, double diag,
-                                std::span<const double> b,
-                                std::span<double> x, index_t i,
-                                const SspGuard& guard) {
-  double acc = b[static_cast<size_t>(i)];
-  for (std::size_t k = 0; k < nnz; ++k) {
-    const index_t j = cols[k];
-    if (guard.drops(j)) continue;
-    acc -= vals[k] * x[static_cast<size_t>(j)];
-  }
-  x[static_cast<size_t>(i)] = acc / diag;
-}
-
-/// computeRowMultiPacked with the SSP guard. Runs the computeRowMulti
-/// loop shape rather than the register-blocked one: per RHS column the
-/// operation sequence is identical either way (the blocking contract at
-/// the top of this file), so column c stays bitwise equal to the exact
-/// kernels whenever the guard never fires.
-inline void computeRowMultiPackedSsp(const index_t* cols, const double* vals,
-                                     std::size_t nnz, double diag,
-                                     std::span<const double> b,
-                                     std::span<double> x, index_t i,
-                                     std::size_t r, const SspGuard& guard) {
-  const double* bi = b.data() + static_cast<std::size_t>(i) * r;
-  double* xi = x.data() + static_cast<std::size_t>(i) * r;
-  for (std::size_t c = 0; c < r; ++c) xi[c] = bi[c];
-  for (std::size_t e = 0; e < nnz; ++e) {
-    const index_t j = cols[e];
-    if (guard.drops(j)) continue;
-    const double a = vals[e];
-    const double* xj = x.data() + static_cast<std::size_t>(j) * r;
-    for (std::size_t c = 0; c < r; ++c) xi[c] -= a * xj[c];
-  }
-  for (std::size_t c = 0; c < r; ++c) xi[c] /= diag;
-}
-
 inline void requireVectorSizes(const sparse::CsrMatrix& lower,
                                std::span<const double> b,
                                std::span<double> x, index_t nrhs,

@@ -80,9 +80,4 @@ std::span<double> SolveContext::xScratch(std::size_t size) {
   return std::span<double>(x_scratch_.data(), size);
 }
 
-std::span<double> SolveContext::sspScratch(std::size_t size) {
-  if (ssp_scratch_.size() < size) ssp_scratch_.resize(size);
-  return std::span<double>(ssp_scratch_.data(), size);
-}
-
 }  // namespace sts::exec

@@ -56,7 +56,6 @@ class BspExecutor;
 class ContiguousBspExecutor;
 class P2pExecutor;
 class ScopedPin;
-class SspExecutor;
 class TriangularSolver;
 struct RowBlock;
 
@@ -112,7 +111,6 @@ class SolveContext {
   friend class BspExecutor;
   friend class ContiguousBspExecutor;
   friend class P2pExecutor;
-  friend class SspExecutor;
   friend class TriangularSolver;
   friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only
   friend void gatherRows(std::span<const sts::index_t> map,
@@ -138,9 +136,6 @@ class SolveContext {
   /// caller's x after it.
   std::span<double> bScratch(std::size_t size);
   std::span<double> xScratch(std::size_t size);
-  /// SSP residual/correction scratch — distinct from b/xScratch, which
-  /// hold the internal-order vectors during a permuted solve.
-  std::span<double> sspScratch(std::size_t size);
 
   /// Executors report each team member's ScopedPin outcome here from
   /// inside the parallel region (hence the relaxed atomics).
@@ -163,7 +158,6 @@ class SolveContext {
 
   std::vector<double> b_scratch_;
   std::vector<double> x_scratch_;
-  std::vector<double> ssp_scratch_;
 };
 
 }  // namespace sts::exec

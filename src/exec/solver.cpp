@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -207,27 +206,6 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   return solver;
 }
 
-const SspExecutor& TriangularSolver::sspExecutor() const {
-  std::call_once(ssp_->once, [this] {
-    STS_TRACE_SPAN1("plan", "ssp_build", "rows",
-                    static_cast<std::uint64_t>(n_));
-    if (contiguous_) {
-      // The reordered problem's (superstep, core) groups are the
-      // contiguous row ranges schedule_.groupPtr() delimits.
-      ssp_->executor = std::make_unique<SspExecutor>(
-          *matrix_, schedule_.numSupersteps(),
-          SspExecutor::listsFromGroupPtr(schedule_.groupPtr(),
-                                         schedule_.numSupersteps(),
-                                         schedule_.numCores()));
-    } else {
-      ssp_->executor = std::make_unique<SspExecutor>(*matrix_, schedule_);
-    }
-  });
-  return *ssp_->executor;
-}
-
-void TriangularSolver::prepareBoundedStale() const { (void)sspExecutor(); }
-
 int TriangularSolver::clampTeam(int threads) const {
   if (threads < 1) {
     throw std::invalid_argument(
@@ -336,71 +314,6 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
                                      std::span<double> x,
                                      index_t nrhs) const {
   solveMultiRhs(b, x, nrhs, defaultContext(), default_team_);
-}
-
-SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
-                                              std::span<double> x,
-                                              const SspOptions& opts,
-                                              SolveContext& ctx, int threads,
-                                              core::FoldPolicy policy,
-                                              StorageKind storage) const {
-  if (static_cast<index_t>(b.size()) != n_ ||
-      static_cast<index_t>(x.size()) != n_) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveBoundedStale: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  if (!permuted_) {
-    return sspExecutor().solve(b, x, opts, ctx, team, policy, storage);
-  }
-  const auto n = static_cast<size_t>(n_);
-  const auto b_int = ctx.bScratch(n);
-  const auto x_int = ctx.xScratch(n);
-  gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
-  const SspResult result =
-      sspExecutor().solve(b_int, x_int, opts, ctx, team, policy, storage);
-  gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
-  return result;
-}
-
-SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
-                                              std::span<double> x,
-                                              const SspOptions& opts,
-                                              SolveContext& ctx) const {
-  return solveBoundedStale(b, x, opts, ctx, default_team_,
-                           options_.fold_policy, options_.storage);
-}
-
-SspResult TriangularSolver::solveBoundedStaleMultiRhs(
-    std::span<const double> b, std::span<double> x, index_t nrhs,
-    const SspOptions& opts, SolveContext& ctx, int threads,
-    core::FoldPolicy policy, StorageKind storage) const {
-  const auto n = static_cast<size_t>(n_);
-  if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
-      x.size() != b.size()) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveBoundedStaleMultiRhs: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  const auto r = static_cast<size_t>(nrhs);
-  if (!permuted_) {
-    return sspExecutor().solveMultiRhs(b, x, nrhs, opts, ctx, team, policy,
-                                       storage);
-  }
-  const auto b_int = ctx.bScratch(n * r);
-  const auto x_int = ctx.xScratch(n * r);
-  gatherRowMajor(total_new_to_old_, b, b_int, r, ctx, team);
-  const SspResult result = sspExecutor().solveMultiRhs(
-      b_int, x_int, nrhs, opts, ctx, team, policy, storage);
-  gatherRowMajor(old_to_new_, x_int, x, r, ctx, team);
-  return result;
-}
-
-SspResult TriangularSolver::solveBoundedStaleMultiRhs(
-    std::span<const double> b, std::span<double> x, index_t nrhs,
-    const SspOptions& opts, SolveContext& ctx) const {
-  return solveBoundedStaleMultiRhs(b, x, nrhs, opts, ctx, default_team_,
-                                   options_.fold_policy, options_.storage);
 }
 
 TileLayout TriangularSolver::tileLayout(index_t nrhs,

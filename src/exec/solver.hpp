@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -14,7 +13,6 @@
 #include "exec/bsp.hpp"
 #include "exec/p2p.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/ssp.hpp"
 #include "exec/storage.hpp"
 #include "sparse/csr.hpp"
 
@@ -142,11 +140,9 @@ struct SolverOptions {
 /// The analyze-once product: an immutable bundle of (normalized matrix,
 /// validated Schedule, executor with cached fold plans, permutation). All
 /// solve entry points are `const`; everything a solve mutates lives in the
-/// SolveContext it runs on. The one lazily built part is the bounded-stale
-/// executor: the first bounded-stale solve (or prepareBoundedStale())
-/// builds it exactly once, thread-safely, and it never changes after.
-/// Move-constructible; executor references into the matrix stay valid
-/// across moves (shared_ptr-held payloads).
+/// SolveContext it runs on, and no part of the solver is built after
+/// analyze(). Move-constructible; executor references into the matrix
+/// stay valid across moves (shared_ptr-held payloads).
 class TriangularSolver {
  public:
   /// Runs the analysis phase: normalize to lower triangular, build the DAG,
@@ -195,39 +191,6 @@ class TriangularSolver {
                      index_t nrhs, SolveContext& ctx) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs) const;
-
-  /// Bounded-stale solve (exec/ssp.hpp): x = T^{-1} b via chunked-barrier
-  /// SSP sweeps plus residual-checked refinement, to opts.tolerance or the
-  /// exact fallback. Permutation handling, concurrency, elasticity, and
-  /// storage contracts match solve(); opts.staleness == 0 is bitwise equal
-  /// to solve() for every scheduler kind, team, and storage. Returns what
-  /// the solve did (refinements, final residual, fallback) — the serving
-  /// engine's bounded-stale tier folds these into its stats.
-  SspResult solveBoundedStale(std::span<const double> b, std::span<double> x,
-                              const SspOptions& opts, SolveContext& ctx,
-                              int threads, core::FoldPolicy policy,
-                              StorageKind storage) const;
-  SspResult solveBoundedStale(std::span<const double> b, std::span<double> x,
-                              const SspOptions& opts, SolveContext& ctx) const;
-
-  /// Bounded-stale X = T^{-1} B, row-major n x nrhs like solveMultiRhs();
-  /// the residual bound holds for every RHS column.
-  SspResult solveBoundedStaleMultiRhs(std::span<const double> b,
-                                      std::span<double> x, index_t nrhs,
-                                      const SspOptions& opts, SolveContext& ctx,
-                                      int threads, core::FoldPolicy policy,
-                                      StorageKind storage) const;
-  SspResult solveBoundedStaleMultiRhs(std::span<const double> b,
-                                      std::span<double> x, index_t nrhs,
-                                      const SspOptions& opts,
-                                      SolveContext& ctx) const;
-
-  /// Builds the bounded-stale executor now rather than on the first
-  /// bounded-stale solve, which otherwise pays for it. Thread-safe and
-  /// idempotent: the executor is built once per solver, whichever call
-  /// comes first. The serving engine calls this when registering a solver
-  /// it may route bounded-stale batches to.
-  void prepareBoundedStale() const;
 
   /// Tiled SpTRSM: like solveMultiRhs (row-major n x nrhs in the ORIGINAL
   /// ordering, bitwise-identical columns) but the solve runs on the
@@ -310,17 +273,13 @@ class TriangularSolver {
   const Schedule& schedule() const { return schedule_; }
   const core::ScheduleStats& stats() const { return stats_; }
   /// Wall-clock seconds spent in analyze() (scheduling + reordering +
-  /// exact executor); feeds the amortization-threshold experiments
-  /// (Eq. 7.1). The bounded-stale executor is not built during analyze()
-  /// and is not included (see prepareBoundedStale()).
+  /// executor); feeds the amortization-threshold experiments (Eq. 7.1).
   double analysisSeconds() const { return analysis_seconds_; }
 
  private:
   TriangularSolver() = default;
 
   SolveContext& defaultContext() const { return *default_ctx_; }
-  /// The bounded-stale executor, built on first use.
-  const SspExecutor& sspExecutor() const;
   /// Maps a caller-requested team to a valid executor team: values above
   /// numThreads() clamp down (lossless); values below 1 throw.
   int clampTeam(int threads) const;
@@ -348,16 +307,6 @@ class TriangularSolver {
   std::unique_ptr<BspExecutor> bsp_;
   std::unique_ptr<ContiguousBspExecutor> contiguous_;
   std::unique_ptr<P2pExecutor> p2p_;
-  /// The bounded-stale executor (ssp.hpp), built for every scheduler kind
-  /// from the same analysis product the exact executor runs, but only on
-  /// the first bounded-stale solve or prepareBoundedStale(): exact-only
-  /// users never pay its build time or its O(n) owner and superstep maps.
-  /// Heap-held so that solver moves keep the once-flag and the executor.
-  struct SspSlot {
-    std::once_flag once;
-    std::unique_ptr<SspExecutor> executor;
-  };
-  std::unique_ptr<SspSlot> ssp_ = std::make_unique<SspSlot>();
 
   /// Backs the context-free convenience overloads.
   std::unique_ptr<SolveContext> default_ctx_;

@@ -16,7 +16,6 @@
 #include "datagen/random_matrices.hpp"
 #include "exec/serial.hpp"
 #include "exec/verify.hpp"
-#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace sts::engine {
@@ -418,73 +417,6 @@ TEST(SolverEngine, DrainWaitsForBacklog) {
     EXPECT_LT(exec::relMaxAbsDiff(f.get(), x_true), 1e-10);
   }
 }
-
-#if STS_TRACING
-/// Occurrences of the `ssp_build` span in a stopped session's trace.
-int sspBuilds(const obs::TraceSession& session) {
-  const std::string json = session.toJson();
-  const std::string key = "\"name\":\"ssp_build\"";
-  int count = 0;
-  for (auto at = json.find(key); at != std::string::npos;
-       at = json.find(key, at + 1)) {
-    ++count;
-  }
-  return count;
-}
-
-/// The overload ladder sheds into the bounded-stale tier exactly when the
-/// engine is busiest, so an engine that can route a batch there builds the
-/// solver's SSP executor while registering it: the build shows up once,
-/// in registerSolver, and never while serving shed batches. Neither
-/// analysis nor an exact-tier engine builds it at all.
-TEST(SolverEngine, RegistrationPrebuildsTheBoundedStaleExecutor) {
-  const auto lower =
-      datagen::erdosRenyiLower({.n = 600, .p = 6e-3, .seed = 37});
-  const auto b = lower.multiply(exec::referenceSolution(lower.rows(), 9));
-
-  auto exact_session = obs::TraceSession::start();
-  {
-    auto solver = analyzeShared(lower, /*reorder=*/true);
-    SolverEngine engine({.num_workers = 1});
-    const auto id = engine.registerSolver(solver);
-    EXPECT_EQ(engine.submit(id, b).get().size(), b.size());
-  }
-  exact_session->stop();
-  EXPECT_EQ(sspBuilds(*exact_session), 0);
-
-  auto solver = analyzeShared(lower, /*reorder=*/true);
-  EngineOptions options;
-  options.num_workers = 1;
-  options.start_paused = true;
-  options.overload_control = true;
-  options.overload_target_delay = 1e-6;  // any real wait sheds precision
-  options.overload_max_rung = 3;
-  std::shared_ptr<obs::TraceSession> registration, serving;
-  int degraded = 0;
-  {
-    SolverEngine engine(options);
-    registration = obs::TraceSession::start();
-    const auto id = engine.registerSolver(solver);
-    registration->stop();
-
-    serving = obs::TraceSession::start();
-    SubmitOptions latency;
-    latency.priority = RequestPriority::kLatency;
-    std::vector<std::future<SolveResponse>> futures;
-    for (int r = 0; r < 8; ++r) {
-      futures.push_back(engine.submit(id, b, latency));
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    engine.resume();
-    for (auto& f : futures) degraded += f.get().degrade.degraded ? 1 : 0;
-  }
-  serving->stop();
-  // Drained only now that the engine's workers are gone.
-  EXPECT_EQ(sspBuilds(*registration), 1);
-  EXPECT_GT(degraded, 0);  // the bounded-stale tier did serve batches
-  EXPECT_EQ(sspBuilds(*serving), 0);
-}
-#endif  // STS_TRACING
 
 }  // namespace
 }  // namespace sts::engine

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -28,60 +31,61 @@ std::shared_ptr<const TriangularSolver> analyzeShared(
       TriangularSolver::analyze(lower, opts));
 }
 
-// ---------------------------------------------------------------- ladder
+// ----------------------------------------------------------------- latch
 
-TEST(OverloadStep, MonotoneInPressureAndOneRungPerStep) {
-  constexpr int kMaxRung = 4;
-  for (int current = 0; current <= kMaxRung; ++current) {
-    int prev = -1;
-    for (double pressure = 0.0; pressure <= 8.0; pressure += 0.05) {
-      const int next = overloadStep(pressure, 0.5, current, kMaxRung);
-      // Never more than one rung of movement, always inside the ladder.
-      EXPECT_LE(std::abs(next - current), 1);
-      EXPECT_GE(next, 0);
-      EXPECT_LE(next, kMaxRung);
-      // Monotone in pressure for a fixed current rung.
-      if (prev >= 0) {
-        EXPECT_GE(next, prev);
-      }
+TEST(OverloadStep, MonotoneInPressureForEitherState) {
+  for (const bool engaged : {false, true}) {
+    bool prev = false;
+    for (double pressure = 0.0; pressure <= 3.0; pressure += 0.05) {
+      const bool next = overloadStep(pressure, 0.5, engaged);
+      // Engaged at some pressure means engaged at every higher one.
+      EXPECT_TRUE(next || !prev) << "pressure " << pressure;
       prev = next;
     }
   }
 }
 
-TEST(OverloadStep, EscalatesByFlooredPressure) {
-  // Pressure in [r, r+1) asks for rung r; movement is one rung at a time.
-  EXPECT_EQ(overloadStep(0.5, 0.5, 0, 3), 0);
-  EXPECT_EQ(overloadStep(1.2, 0.5, 0, 3), 1);
-  EXPECT_EQ(overloadStep(7.0, 0.5, 0, 3), 1);  // no jumps, however hard
-  EXPECT_EQ(overloadStep(7.0, 0.5, 1, 3), 2);
-  EXPECT_EQ(overloadStep(7.0, 0.5, 3, 3), 3);  // saturates at the top
+TEST(OverloadStep, EngagesAtTargetAndReleasesPastHysteresis) {
+  EXPECT_FALSE(overloadStep(0.99, 0.5, false));
+  EXPECT_TRUE(overloadStep(1.0, 0.5, false));
+  EXPECT_TRUE(overloadStep(7.0, 0.5, false));
+  // Engaged with h = 0.5: the release boundary is pressure 0.5.
+  EXPECT_TRUE(overloadStep(0.9, 0.5, true));  // inside the band: hold
+  EXPECT_TRUE(overloadStep(0.51, 0.5, true));
+  EXPECT_FALSE(overloadStep(0.5, 0.5, true));  // clears it: release
+  EXPECT_FALSE(overloadStep(0.0, 0.5, true));
 }
 
-TEST(OverloadStep, StepsDownOnlyPastHysteresis) {
-  // At rung 2 with h = 0.5 the de-escalation boundary is pressure 1.5.
-  EXPECT_EQ(overloadStep(1.9, 0.5, 2, 3), 2);  // inside the band: hold
-  EXPECT_EQ(overloadStep(1.5, 0.5, 2, 3), 1);  // clears it: one rung down
-  EXPECT_EQ(overloadStep(0.0, 0.5, 1, 3), 0);
-  EXPECT_EQ(overloadStep(0.0, 0.5, 0, 3), 0);  // floor
+TEST(OverloadStep, NanPressureHoldsTheState) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(overloadStep(nan, 0.5, false));
+  EXPECT_TRUE(overloadStep(nan, 0.5, true));
 }
 
-TEST(OverloadController, WalksTheLadderOneUpdateAtATime) {
-  OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5,
-                                /*max_rung=*/3);
-  EXPECT_EQ(controller.rung(), 0);
-  // Sustained 10x-target pressure: up exactly one rung per update.
-  for (int expected = 1; expected <= 3; ++expected) {
-    const auto step = controller.update(/*est_delay_seconds=*/1.0);
-    EXPECT_TRUE(step.moved());
-    EXPECT_EQ(step.to, expected);
+TEST(OverloadController, ReportsEachFlipOnce) {
+  OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5);
+  EXPECT_FALSE(controller.engaged());
+  EXPECT_EQ(controller.update(0.05), std::nullopt);  // below target
+  EXPECT_EQ(controller.update(1.0), std::optional<bool>(true));
+  EXPECT_TRUE(controller.engaged());
+  EXPECT_EQ(controller.update(1.0), std::nullopt);   // already engaged
+  EXPECT_EQ(controller.update(0.07), std::nullopt);  // inside the band
+  EXPECT_EQ(controller.update(0.04), std::optional<bool>(false));
+  EXPECT_FALSE(controller.engaged());
+}
+
+TEST(OverloadController, RacingUpdatesReportOneFlip) {
+  OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5);
+  std::atomic<int> flips{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      if (controller.update(1.0)) flips.fetch_add(1);
+    });
   }
-  EXPECT_EQ(controller.update(1.0).to, 3);  // saturated: hold
-  // Pressure gone: down one rung per update, through the hysteresis band.
-  for (int expected = 2; expected >= 0; --expected) {
-    EXPECT_EQ(controller.update(0.0).to, expected);
-  }
-  EXPECT_FALSE(controller.update(0.0).moved());
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(flips.load(), 1);
+  EXPECT_TRUE(controller.engaged());
 }
 
 // ----------------------------------------------------------------- queue
@@ -182,7 +186,7 @@ TEST(RequestQueue, LazyExpirySweepsDeadRequestsIntoTheCallerList) {
 
 // ---------------------------------------------------------------- engine
 
-TEST(OverloadEngine, IdleLadderServesExactBitwise) {
+TEST(OverloadEngine, IdleLatchServesExactBitwise) {
   const auto lower =
       datagen::erdosRenyiLower({.n = 400, .p = 8e-3, .seed = 31});
   auto solver = analyzeShared(lower);
@@ -194,59 +198,48 @@ TEST(OverloadEngine, IdleLadderServesExactBitwise) {
   EngineOptions options;
   options.num_workers = 2;
   options.overload_control = true;
-  options.overload_target_delay = 1e6;  // unreachable: the ladder is idle
+  options.overload_target_delay = 1e6;  // unreachable: the latch stays off
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);
 
-  std::vector<std::future<SolveResponse>> futures;
-  for (int r = 0; r < 8; ++r) {
-    futures.push_back(engine.submit(id, b, SubmitOptions{}));
-  }
-  for (auto& f : futures) {
-    SolveResponse response = f.get();
-    // Rung 0 = the configured (exact) tier, bitwise — an idle ladder is
-    // indistinguishable from overload_control off.
-    EXPECT_EQ(response.degrade.rung, 0);
-    EXPECT_FALSE(response.degrade.degraded);
-    EXPECT_EQ(response.degrade.tier, ServiceTier::kExact);
-    EXPECT_EQ(response.degrade.staleness, 0);
-    EXPECT_EQ(response.x, expected);
-  }
-  EXPECT_EQ(engine.overloadRung(), 0);
-  EXPECT_EQ(engine.stats(id).degraded_batches, 0u);
+  std::vector<std::future<std::vector<double>>> futures;
+  for (int r = 0; r < 8; ++r) futures.push_back(engine.submit(id, b));
+  // A released latch is indistinguishable from overload_control off.
+  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
+  EXPECT_FALSE(engine.overloadEngaged());
+  EXPECT_EQ(engine.stats(id).rejected_requests, 0u);
 }
 
-TEST(OverloadEngine, PressureShedsPrecisionAndReportsDegradeInfo) {
+TEST(OverloadEngine, EngagedLatchRejectsThroughputAndAdmitsLatency) {
   const auto lower =
       datagen::erdosRenyiLower({.n = 600, .p = 6e-3, .seed = 37});
   auto solver = analyzeShared(lower);
   const auto x_true = exec::referenceSolution(lower.rows(), 9);
   const auto b = lower.multiply(x_true);
+  std::vector<double> expected(b.size(), 0.0);
+  solver->solve(b, expected);
 
   EngineOptions options;
   options.num_workers = 1;
   options.start_paused = true;
   options.overload_control = true;
-  options.overload_target_delay = 1e-6;  // any real wait saturates pressure
-  options.overload_max_rung = 3;
-  options.stale_tolerance = 1e-8;
+  options.overload_target_delay = 1e-6;  // any real wait engages the latch
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);
 
-  // Stage latency-class work while paused; each submit feeds the ladder
-  // and the aging head wait drives pressure far past target, so the rung
-  // climbs one submit at a time to the top.
+  // Stage latency-class work while paused; each submit feeds the latch,
+  // and the aging head wait drives pressure far past the target.
   SubmitOptions latency;
   latency.priority = RequestPriority::kLatency;
-  std::vector<std::future<SolveResponse>> futures;
+  std::vector<std::future<std::vector<double>>> futures;
   for (int r = 0; r < 8; ++r) {
     futures.push_back(engine.submit(id, b, latency));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(engine.overloadRung(), options.overload_max_rung);
+  EXPECT_TRUE(engine.overloadEngaged());
 
-  // At the top rung new THROUGHPUT-class work is refused with a typed
-  // error; the staged latency work above was all admitted.
+  // Engaged: new THROUGHPUT-class work is refused with a typed error; the
+  // staged latency work above was all admitted.
   auto refused = engine.submit(id, b);
   try {
     refused.get();
@@ -256,33 +249,13 @@ TEST(OverloadEngine, PressureShedsPrecisionAndReportsDegradeInfo) {
   }
 
   engine.resume();
-  int degraded = 0;
-  for (auto& f : futures) {
-    SolveResponse response = f.get();
-    if (!response.degrade.degraded) continue;
-    ++degraded;
-    // DegradeInfo accuracy: a shed batch on a kExact engine runs the
-    // bounded-stale tier with staleness == rung, below the reject rung,
-    // at the configured tolerance (growth defaults to 1.0) — and the
-    // refinement contract holds on the RETURNED solution, not just the
-    // reported residual.
-    EXPECT_EQ(response.degrade.tier, ServiceTier::kBoundedStale);
-    EXPECT_GE(response.degrade.rung, 1);
-    EXPECT_LT(response.degrade.rung, options.overload_max_rung);
-    EXPECT_EQ(response.degrade.staleness,
-              static_cast<sts::index_t>(response.degrade.rung));
-    EXPECT_DOUBLE_EQ(response.degrade.tolerance, options.stale_tolerance);
-    EXPECT_LE(response.degrade.residual, response.degrade.tolerance);
-    EXPECT_LE(exec::residualInf(lower, response.x, b),
-              response.degrade.tolerance);
-  }
-  EXPECT_GT(degraded, 0);
+  // Admitted work runs the exact executors, engaged latch or not.
+  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
   // A batch resolves its futures before it books its stats; drain() waits
-  // for the booking too.
+  // for the booking too. The emptied queue has released the latch.
   engine.drain();
-  const auto stats = engine.stats(id);
-  EXPECT_GT(stats.degraded_batches, 0u);
-  EXPECT_EQ(stats.rejected_requests, 1u);
+  EXPECT_FALSE(engine.overloadEngaged());
+  EXPECT_EQ(engine.stats(id).rejected_requests, 1u);
 }
 
 TEST(OverloadEngine, BoundedQueueRejectsBeyondDepthWithTypedError) {
@@ -340,22 +313,61 @@ TEST(OverloadEngine, DeadlinesExpireLazilyWithTypedError) {
   } catch (const EngineError& error) {
     EXPECT_EQ(error.code(), EngineErrorCode::kExpired);
   }
-  EXPECT_FALSE(patient.get().x.empty());  // the undeadlined one solved
+  EXPECT_FALSE(patient.get().empty());  // the undeadlined one solved
   EXPECT_EQ(engine.stats(id).expired_requests, 1u);
   engine.drain();
 }
 
+TEST(OverloadEngine, FarDeadlinesNeverExpireAndNanDeadlinesThrow) {
+  const auto lower = datagen::bandedLower(200, 6, 0.5, 47);
+  auto solver = analyzeShared(lower);
+  const auto x_true = exec::referenceSolution(lower.rows(), 17);
+  const auto b = lower.multiply(x_true);
+  std::vector<double> expected(b.size(), 0.0);
+  solver->solve(b, expected);
+
+  SolverEngine engine(EngineOptions{});
+  const auto id = engine.registerSolver(solver);
+  // Budgets past the steady clock's range mean "never", not "already".
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double far : {1e10, inf}) {
+    SubmitOptions deadline;
+    deadline.deadline_seconds = far;
+    EXPECT_EQ(engine.submit(id, b, deadline).get(), expected) << far;
+    SubmitOptions queue_wait;
+    queue_wait.max_queue_wait_seconds = far;
+    EXPECT_EQ(engine.submit(id, b, queue_wait).get(), expected) << far;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SubmitOptions nan_deadline;
+  nan_deadline.deadline_seconds = nan;
+  EXPECT_THROW(engine.submit(id, b, nan_deadline), std::invalid_argument);
+  SubmitOptions nan_queue_wait;
+  nan_queue_wait.max_queue_wait_seconds = nan;
+  EXPECT_THROW(engine.submit(id, b, nan_queue_wait), std::invalid_argument);
+  engine.drain();
+  EXPECT_EQ(engine.stats(id).expired_requests, 0u);
+}
+
 TEST(OverloadEngine, ValidatesOverloadOptions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EngineOptions bad_target;
   bad_target.overload_control = true;
   bad_target.overload_target_delay = 0.0;
   EXPECT_THROW(SolverEngine{bad_target}, std::invalid_argument);
-  EngineOptions bad_rung;
-  bad_rung.overload_max_rung = 0;
-  EXPECT_THROW(SolverEngine{bad_rung}, std::invalid_argument);
-  EngineOptions bad_growth;
-  bad_growth.overload_tolerance_growth = 0.5;
-  EXPECT_THROW(SolverEngine{bad_growth}, std::invalid_argument);
+  EngineOptions nan_target;
+  nan_target.overload_control = true;
+  nan_target.overload_target_delay = nan;
+  EXPECT_THROW(SolverEngine{nan_target}, std::invalid_argument);
+  EngineOptions bad_hysteresis;
+  bad_hysteresis.overload_hysteresis = -0.1;
+  EXPECT_THROW(SolverEngine{bad_hysteresis}, std::invalid_argument);
+  EngineOptions nan_hysteresis;
+  nan_hysteresis.overload_hysteresis = nan;
+  EXPECT_THROW(SolverEngine{nan_hysteresis}, std::invalid_argument);
+  EngineOptions nan_p95;
+  nan_p95.target_p95 = nan;
+  EXPECT_THROW(SolverEngine{nan_p95}, std::invalid_argument);
   EngineOptions bad_deadline_engine;
   SolverEngine engine(bad_deadline_engine);
   const auto lower = datagen::bandedLower(50, 4, 0.5, 3);

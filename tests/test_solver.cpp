@@ -272,11 +272,9 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
     }
   }
 
-  SspOptions exact;
-  exact.staleness = 0;
   // A one-column layout is the internal-order vector itself.
   const TileLayout one_column = solver.tileLayout(1);
-  std::vector<double> bc(n), x(n), x_stale(n), want_col(n), x_one(n);
+  std::vector<double> bc(n), x(n), want_col(n), x_one(n);
   for (size_t c = 0; c < r; ++c) {
     for (size_t i = 0; i < n; ++i) {
       bc[i] = b[i * r + c];
@@ -292,8 +290,6 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
       x_one[static_cast<size_t>(perm[i])] = x_int[i];
     }
     EXPECT_EQ(x_one, want_col) << "solveTiles, one column, column " << c;
-    solver.solveBoundedStale(bc, x_stale, exact, *ctx, team, policy, storage);
-    EXPECT_EQ(x_stale, want_col) << "solveBoundedStale, column " << c;
   }
   std::vector<double> x_multi(n * r), x_tiled(n * r);
   solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team, policy, storage);

@@ -2,11 +2,11 @@
 """Consolidated performance snapshot of the perf-critical benches.
 
 Runs bench_micro_kernels (google-benchmark JSON), bench_fold_policies,
-bench_slab_locality, bench_tiled_multirhs, bench_ssp_staleness and
-bench_overload_resilience (their `JSON: ` payload lines) and writes one
-consolidated snapshot file — by convention `BENCH_<PR>.json` at the repo
-root — so the perf trajectory of the hot paths is versioned alongside the
-code that produced it. Schema in docs/BENCHMARKS.md.
+bench_slab_locality, bench_tiled_multirhs and bench_overload_resilience
+(their `JSON: ` payload lines) and writes one consolidated snapshot file
+— by convention `BENCH_<PR>.json` at the repo root — so the perf
+trajectory of the hot paths is versioned alongside the code that produced
+it. Schema in docs/BENCHMARKS.md.
 
 Usage:
     python3 tools/bench_snapshot.py --out BENCH_5.json [--build-dir build]
@@ -31,8 +31,7 @@ import subprocess
 import sys
 
 REQUIRED_BENCHES = ["bench_fold_policies", "bench_slab_locality",
-                    "bench_tiled_multirhs", "bench_ssp_staleness",
-                    "bench_overload_resilience"]
+                    "bench_tiled_multirhs", "bench_overload_resilience"]
 OPTIONAL_BENCHES = ["bench_micro_kernels"]
 
 
@@ -86,7 +85,6 @@ def main():
         env.setdefault("STS_FOLD_REPS", str(args.reps))
         env.setdefault("STS_SLAB_REPS", str(args.reps))
         env.setdefault("STS_TILED_REPS", str(args.reps))
-        env.setdefault("STS_SSP_REPS", str(args.reps))
         # Quick-snapshot mode also trims the open-loop overload phase.
         env.setdefault("STS_OVERLOAD_REQUESTS", "48")
 
@@ -136,8 +134,7 @@ def main():
 
     # Lift the host fields of the first JSON-line bench to the top level
     # so cross-snapshot tooling need not dig per bench.
-    for key in ("fold_policies", "slab_locality", "tiled_multirhs",
-                "ssp_staleness"):
+    for key in ("fold_policies", "slab_locality", "tiled_multirhs"):
         payload = snapshot["benches"].get(key)
         if payload:
             snapshot["host"] = {
