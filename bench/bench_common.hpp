@@ -53,9 +53,10 @@ inline void banner(const std::string& experiment, const std::string& paper_ref,
   std::printf("==============================================================\n");
   std::printf("%s  (reproduces %s)\n", experiment.c_str(), paper_ref.c_str());
   std::printf("%s\n", what.c_str());
-  std::printf("host substitution: single container, %d hardware threads; "
+  std::printf("host substitution: single container, %u hardware threads; "
               "scale=%.2f reps=%d (STS_BENCH_SCALE / STS_BENCH_REPS)\n",
-              2, harness::benchScale(), harness::benchReps());
+              std::thread::hardware_concurrency(), harness::benchScale(),
+              harness::benchReps());
   std::printf("==============================================================\n\n");
 }
 

@@ -174,8 +174,8 @@ void BM_MultiRhsKernelScalar(benchmark::State& state) {
 BENCHMARK(BM_MultiRhsKernelScalar)->Arg(4)->Arg(8);
 
 /// Column-blocked multi-RHS row kernel (computeRowMultiPacked: fixed
-/// 8/4-wide register blocks + tail — the slab walk's kernel) on the SAME
-/// CSR memory, isolating the kernel effect from the layout effect.
+/// 8/4-wide register blocks + tail — the tiled walk's kernel) on the SAME
+/// CSR memory, isolating the kernel effect from the walk.
 void BM_MultiRhsKernelBlocked(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto r = static_cast<size_t>(state.range(0));
@@ -202,11 +202,8 @@ void BM_MultiRhsKernelBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiRhsKernelBlocked)->Arg(4)->Arg(8);
 
-/// End-to-end storage ablation on one executor: the full multi-RHS solve
-/// through the shared CSR vs the thread-local slab (layout + blocked
-/// kernel + prefetch); Arg = nrhs.
-void BM_BspSolveMultiStorage(benchmark::State& state,
-                             exec::StorageKind storage) {
+/// The full multi-RHS solve on one executor; Arg = nrhs.
+void BM_BspSolveMultiShared(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto schedule = core::growLocalSchedule(benchDag(), {.num_cores = 2});
   const exec::BspExecutor executor(lower, schedule);
@@ -217,20 +214,13 @@ void BM_BspSolveMultiStorage(benchmark::State& state,
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
     executor.solveMultiRhs(b, x, r, *ctx, executor.numThreads(),
-                           core::FoldPolicy::kModulo, storage);
+                           core::FoldPolicy::kModulo);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz() *
                           static_cast<int64_t>(r));
 }
-void BM_BspSolveMultiShared(benchmark::State& state) {
-  BM_BspSolveMultiStorage(state, exec::StorageKind::kSharedCsr);
-}
-void BM_BspSolveMultiSlab(benchmark::State& state) {
-  BM_BspSolveMultiStorage(state, exec::StorageKind::kSlab);
-}
 BENCHMARK(BM_BspSolveMultiShared)->Arg(4)->Arg(8);
-BENCHMARK(BM_BspSolveMultiSlab)->Arg(4)->Arg(8);
 
 void BM_GrowLocalSchedule(benchmark::State& state) {
   const auto& d = benchDag();

@@ -1,7 +1,6 @@
 #include "check/check.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -183,88 +182,6 @@ CheckResult validateFoldedLists(const exec::detail::FoldedLists& lists,
   if (covered != num_rows) {
     return CheckResult::failure("work lists cover " + std::to_string(covered) +
                                 " of " + std::to_string(num_rows) + " rows");
-  }
-  return {};
-}
-
-CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
-                             const exec::detail::FoldedLists& lists,
-                             const exec::detail::SlabPlan& plan) {
-  using exec::detail::kSlabAlignment;
-  if (plan.threads.size() != lists.verts.size()) {
-    return CheckResult::failure(
-        "plan has " + std::to_string(plan.threads.size()) +
-        " slabs for " + std::to_string(lists.verts.size()) + " threads");
-  }
-  std::vector<bool> seen(static_cast<std::size_t>(lower.rows()), false);
-  for (std::size_t t = 0; t < plan.threads.size(); ++t) {
-    const exec::detail::SlabThread& slab = plan.threads[t];
-    if (slab.step_ptr != lists.step_ptr[t]) {
-      return CheckResult::failure(
-          "slab " + std::to_string(t) +
-          " superstep boundaries diverge from the folded work list");
-    }
-    const std::byte* base = slab.bytes.data();
-    if (reinterpret_cast<std::uintptr_t>(base) % kSlabAlignment != 0) {
-      return CheckResult::failure("slab " + std::to_string(t) +
-                                  " base is not " +
-                                  std::to_string(kSlabAlignment) +
-                                  "-byte aligned");
-    }
-    const std::byte* p = base;
-    const std::byte* end = base + slab.bytes.size();
-    for (std::size_t k = 0; k < lists.verts[t].size(); ++k) {
-      if (reinterpret_cast<std::uintptr_t>(p) % alignof(double) != 0) {
-        return CheckResult::failure("slab " + std::to_string(t) +
-                                    " record " + std::to_string(k) +
-                                    " is misaligned");
-      }
-      if (p + sizeof(exec::detail::SlabRecordHeader) > end) {
-        return CheckResult::failure("slab " + std::to_string(t) +
-                                    " truncates record " + std::to_string(k));
-      }
-      const exec::detail::SlabRecordView rec = exec::detail::slabRecordAt(p);
-      if (rec.next > end) {
-        return CheckResult::failure("slab " + std::to_string(t) +
-                                    " truncates record " + std::to_string(k));
-      }
-      const sts::index_t row = lists.verts[t][k];
-      if (rec.row != row) {
-        return CheckResult::failure(
-            "slab " + std::to_string(t) + " record " + std::to_string(k) +
-            " packs " + at("row", rec.row) + ", execution order says " +
-            std::to_string(row));
-      }
-      if (seen[static_cast<std::size_t>(row)]) {
-        return CheckResult::failure(at("row", row) +
-                                    " is packed twice across the plan");
-      }
-      seen[static_cast<std::size_t>(row)] = true;
-      // Payload fidelity: same off-diagonals in the same (CSR) order, diag
-      // from the row's last stored entry — the operands the shared-CSR
-      // kernels read, which is what makes slab results bitwise-equal.
-      const auto cols = lower.rowCols(row);
-      const auto vals = lower.rowValues(row);
-      if (cols.empty() ||
-          rec.nnz != cols.size() - 1 || rec.diag != vals.back()) {
-        return CheckResult::failure(at("row", row) +
-                                    " header/diagonal diverges from the CSR");
-      }
-      for (std::size_t i = 0; i < rec.nnz; ++i) {
-        if (rec.cols[i] != cols[i] || rec.vals[i] != vals[i]) {
-          return CheckResult::failure(at("row", row) +
-                                      " off-diagonals diverge from the CSR");
-        }
-      }
-      p = rec.next;
-    }
-  }
-  // Coverage across the whole plan (the per-record uniqueness pass above
-  // makes this a pure count check).
-  for (sts::index_t r = 0; r < lower.rows(); ++r) {
-    if (!seen[static_cast<std::size_t>(r)]) {
-      return CheckResult::failure(at("row", r) + " is missing from the plan");
-    }
   }
   return {};
 }

@@ -7,13 +7,12 @@
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
 #include "exec/elastic.hpp"
-#include "exec/slab.hpp"
 #include "sparse/csr.hpp"
 
 /// \file check.hpp
 /// Deep invariant validators for the artifacts the pipeline hands between
-/// layers: schedules (Def. 2.1), fold rank maps, folded work lists, slab
-/// storage plans, and core-budget grants. Each validator re-derives the
+/// layers: schedules (Def. 2.1), fold rank maps, folded work lists, and
+/// core-budget grants. Each validator re-derives the
 /// invariant from first principles — it shares no code with the
 /// construction it audits, so a bug in the builder cannot hide in the
 /// checker.
@@ -24,8 +23,8 @@
 ///    shipped construction paths (which must validate clean) and on
 ///    hand-crafted invalid inputs (which must be rejected).
 ///  * `STS_CHECKS=1` builds (-DSTS_CHECKS=ON) run them automatically at
-///    every construction site — schedule analysis, folding, slab builds,
-///    core-grant accounting — and throw std::logic_error on violation.
+///    every construction site — schedule analysis, folding, core-grant
+///    accounting — and throw std::logic_error on violation.
 ///    The hooks compile away entirely in default builds, same pattern as
 ///    STS_TRACING; see docs/STATIC_ANALYSIS.md for the invariant table.
 #ifndef STS_CHECKS
@@ -77,19 +76,6 @@ CheckResult validateRankMap(int width, int target,
 CheckResult validateFoldedLists(const exec::detail::FoldedLists& lists,
                                 sts::index_t num_steps,
                                 sts::index_t num_rows);
-
-/// A slab plan is a faithful re-encoding of (lower, lists):
-///  * one slab per folded thread, step_ptr equal to the work list's;
-///  * record k of thread t packs exactly row lists.verts[t][k]
-///    (execution-order match), so every row appears exactly once;
-///  * field alignment: each slab base is kSlabAlignment-aligned and every
-///    record boundary (hence every header/diag/cols/vals field) stays
-///    8-byte aligned;
-///  * record payloads match the CSR source: off-diagonal cols/vals in
-///    CSR order, diag from the row's last stored entry.
-CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
-                             const exec::detail::FoldedLists& lists,
-                             const exec::detail::SlabPlan& plan);
 
 /// Core-set grant audit: every live grant's ids are distinct members of
 /// `universe`, and the grants are pairwise disjoint — the "never overlap"

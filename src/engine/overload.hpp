@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <optional>
 
 #include "base/sync.hpp"
@@ -8,8 +10,8 @@
 /// \file overload.hpp
 /// Admission control under overload (docs/ROBUSTNESS.md): a two-state
 /// latch over one scalar, the estimated queue delay the engine derives
-/// from queue depth x the batch-latency histogram and the oldest queued
-/// wait. Pressure = est_delay / target_delay.
+/// from the queue depth, the batch-latency histogram and the oldest queued
+/// wait (queueDelayEstimate). Pressure = est_delay / target_delay.
 ///
 ///   released   every class is admitted
 ///   engaged    new throughput-class work is rejected with
@@ -29,6 +31,26 @@ namespace sts::engine {
 /// Monotone in pressure for either current state; a NaN pressure holds.
 inline bool overloadStep(double pressure, double hysteresis, bool engaged) {
   return engaged ? !(pressure <= 1.0 - hysteresis) : pressure >= 1.0;
+}
+
+/// The latch's input, pure and unit-testable: the estimated wait of a
+/// request that arrives now. The `depth` queued requests drain as
+/// ceil(depth / batch_cap) batches of `p50` seconds each, spread over
+/// `workers` workers — queued single-RHS requests coalesce up to the
+/// batch cap, so pass the pop's effective cap when coalescing is on and 1
+/// when it is off. The result is the larger of that and `oldest_wait`,
+/// not their sum: the head's wait already contains queueing history and
+/// the depth term already contains the head, and each alone
+/// underestimates in a different regime (cold histogram vs. stalled
+/// worker).
+inline double queueDelayEstimate(double p50, std::size_t depth,
+                                 std::size_t batch_cap, std::size_t workers,
+                                 double oldest_wait) {
+  const std::size_t cap = std::max<std::size_t>(batch_cap, 1);
+  const std::size_t batches = depth / cap + (depth % cap != 0 ? 1 : 0);
+  const double service = p50 * static_cast<double>(batches) /
+                         static_cast<double>(std::max<std::size_t>(workers, 1));
+  return std::max(service, oldest_wait);
 }
 
 /// Thread-safe latch around overloadStep. update() is called from the

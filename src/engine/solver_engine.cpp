@@ -139,23 +139,21 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   // throttled grant simply anchors the model at the granted width.
   CoreBudget::Lease cores(budget_, base, min_team);
   const int probe_team = cores.granted();
-  // Probe with the storage and policy the engine will actually serve, on
-  // a fresh context (registration must not race the built-in default
-  // context). The untimed warmup pays the one-time costs — fold-plan /
-  // slab build, OpenMP team spinup, cold matrix — so the timed pass
+  // Probe with the policy the engine will actually serve, on a fresh
+  // context (registration must not race the built-in default context).
+  // The untimed warmup pays the one-time costs — fold-plan build, OpenMP
+  // team spinup, cold matrix — so the timed pass
   // measures the steady-state solve; a cold probe would overshoot and
   // silently disable the cold start.
   const core::FoldPolicy policy = solver.options().fold_policy;
-  const exec::StorageKind storage =
-      options_.storage.value_or(solver.options().storage);
   const auto n = static_cast<std::size_t>(solver.numRows());
   std::vector<double> b(n, 1.0);
   std::vector<double> x(n, 0.0);
   auto ctx = solver.createContext();
   STS_TRACE_SPAN1("plan", "seed_probe", "team", probe_team);
-  solver.solve(b, x, *ctx, probe_team, policy, storage);
+  solver.solve(b, x, *ctx, probe_team, policy);
   const auto t0 = std::chrono::steady_clock::now();
-  solver.solve(b, x, *ctx, probe_team, policy, storage);
+  solver.solve(b, x, *ctx, probe_team, policy);
   const double probe =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -443,14 +441,13 @@ void SolverEngine::workerLoop() {
 
 double SolverEngine::estQueueDelay(
     std::chrono::steady_clock::time_point now) const {
-  const double p50 = batch_p50_.load(std::memory_order_relaxed);
-  const double service =
-      p50 * static_cast<double>(queue_.size()) /
-      static_cast<double>(workers_.empty() ? 1 : workers_.size());
-  // max, not sum: the head wait already contains queueing history, the
-  // depth model already contains the head — either alone underestimates
-  // in a different regime (cold histogram vs. stalled worker).
-  return std::max(service, queue_.oldestWaitSeconds(now));
+  const std::size_t depth = queue_.size();
+  const std::size_t cap =
+      options_.coalesce ? static_cast<std::size_t>(effectiveBatchCap(depth))
+                        : 1;
+  return queueDelayEstimate(batch_p50_.load(std::memory_order_relaxed), depth,
+                            cap, workers_.size(),
+                            queue_.oldestWaitSeconds(now));
 }
 
 void SolverEngine::overloadUpdate(std::chrono::steady_clock::time_point now) {
@@ -586,10 +583,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // cannot overlap any concurrent batch's cores (the leases are disjoint)
   // and its folded ranks keep a stable core for the whole batch.
   const bool pin_batch = pin_enabled_ && !cores.cores().empty();
-  // The engine-wide storage override wins over the solver's own default;
-  // either way the layout is invisible in the results (bitwise contract).
-  const exec::StorageKind storage =
-      options_.storage.value_or(solver.options().storage);
   const core::FoldPolicy fold_policy = solver.options().fold_policy;
   std::uint64_t pinned_threads = 0;
   std::uint64_t migrated_threads = 0;
@@ -644,7 +637,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
         solver.solveTiles(b_tiles, x_tiles, layout, lease.context(), team,
-                          fold_policy, storage);
+                          fold_policy);
       }
       {
         STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
@@ -668,7 +661,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
         solver.solveMultiRhsTiled(request.b, x, request.nrhs, lease.context(),
-                                  team, fold_policy, storage);
+                                  team, fold_policy);
       }
       request.b = std::move(x);
     }
@@ -715,7 +708,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   if (pin_batch && !error && pinned_threads > 0) reg.pinned_batches += 1;
   reg.pinned_threads += pinned_threads;
   reg.migrated_threads += migrated_threads;
-  if (!error && storage == exec::StorageKind::kSlab) reg.slab_batches += 1;
   if (!error && tiled_batch) reg.tiled_batches += 1;
   reg.busy_seconds += batch_seconds;
   reg.pack_seconds += pack_elapsed;
@@ -733,15 +725,14 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     reg.rhs_solved_counter->add(static_cast<std::uint64_t>(total_rhs));
     if (k > 1) reg.coalesced_rhs += static_cast<std::uint64_t>(k);
   }
-  // Fold the batch's compute/wait attribution into its (team, storage)
-  // summary row. Relaxed loads: the executor threads flushed before the
+  // Fold the batch's compute/wait attribution into its team's summary
+  // row. Relaxed loads: the executor threads flushed before the
   // solve call returned, and this thread performed that call. Compiled
   // out with the StepTracer bodies: an STS_TRACING=OFF build would only
   // ever record all-zero rows, so traceSummary() stays empty instead.
 #if STS_TRACING
   if (options_.trace && !error) {
-    TraceAccum& row =
-        reg.trace_rows[{team, static_cast<int>(storage)}];
+    TraceAccum& row = reg.trace_rows[team];
     row.batches += 1;
     row.thread_steps +=
         batch_trace.thread_steps.load(std::memory_order_relaxed);
@@ -791,7 +782,6 @@ SolverServingStats SolverEngine::stats(SolverId id) const {
     out.pinned_batches = reg.pinned_batches;
     out.pinned_threads = reg.pinned_threads;
     out.migrated_threads = reg.migrated_threads;
-    out.slab_batches = reg.slab_batches;
     out.tiled_batches = reg.tiled_batches;
     out.seeded_team = reg.seeded_team;
     out.slo_steps = reg.slo_steps;
@@ -833,10 +823,9 @@ std::vector<TraceSummaryRow> SolverEngine::traceSummary(SolverId id) const {
   std::vector<TraceSummaryRow> out;
   base::MutexLock lock(reg.stats_mu);
   out.reserve(reg.trace_rows.size());
-  for (const auto& [key, accum] : reg.trace_rows) {
+  for (const auto& [team, accum] : reg.trace_rows) {
     TraceSummaryRow row;
-    row.team = key.first;
-    row.storage = static_cast<exec::StorageKind>(key.second);
+    row.team = team;
     row.batches = accum.batches;
     row.thread_steps = accum.thread_steps;
     row.compute_seconds = static_cast<double>(accum.compute_ns) * 1e-9;
@@ -848,7 +837,7 @@ std::vector<TraceSummaryRow> SolverEngine::traceSummary(SolverId id) const {
     row.wait_fraction = total > 0.0 ? row.wait_seconds / total : 0.0;
     out.push_back(row);
   }
-  return out;  // std::map iteration: already sorted by (team, storage)
+  return out;  // std::map iteration: already sorted by team
 }
 
 const exec::TriangularSolver& SolverEngine::solver(SolverId id) const {

@@ -163,9 +163,9 @@ class SolverEngine {
   /// Snapshot of one solver's serving statistics. Thread-safe.
   SolverServingStats stats(SolverId id) const;
 
-  /// Per-(team, storage) compute-vs-wait attribution of one solver's
-  /// batches (EngineOptions::trace; empty when tracing is off or compiled
-  /// out). Rows are sorted by (team, storage). Thread-safe.
+  /// Per-team compute-vs-wait attribution of one solver's batches
+  /// (EngineOptions::trace; empty when tracing is off or compiled out).
+  /// Rows are sorted by team. Thread-safe.
   std::vector<TraceSummaryRow> traceSummary(SolverId id) const;
 
   /// The engine's metric registry: per-solver latency histograms
@@ -200,7 +200,7 @@ class SolverEngine {
     std::size_t next = 0;   ///< ring cursor
   };
 
-  /// Accumulated SolveTrace totals of one (team, storage) configuration.
+  /// Accumulated SolveTrace totals of one team width.
   struct TraceAccum {
     std::uint64_t batches = 0;
     std::uint64_t thread_steps = 0;
@@ -251,7 +251,6 @@ class SolverEngine {
     std::uint64_t pinned_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t pinned_threads STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t migrated_threads STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t slab_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t tiled_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t team_size_accum STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t slo_steps STS_GUARDED_BY(stats_mu) = 0;
@@ -263,9 +262,9 @@ class SolverEngine {
     /// Controller input: recent latencies only (stats quantiles come from
     /// latency_hist, which never forgets — see obs/registry.hpp).
     SloWindow slo_window STS_GUARDED_BY(stats_mu);
-    /// traceSummary() rows, keyed (team, storage); fed by each batch's
-    /// armed SolveTrace when EngineOptions::trace is on.
-    std::map<std::pair<int, int>, TraceAccum> trace_rows
+    /// traceSummary() rows, keyed by team; fed by each batch's armed
+    /// SolveTrace when EngineOptions::trace is on.
+    std::map<int, TraceAccum> trace_rows
         STS_GUARDED_BY(stats_mu);
     std::chrono::steady_clock::time_point first_submit STS_GUARDED_BY(stats_mu){};
     std::chrono::steady_clock::time_point last_complete STS_GUARDED_BY(stats_mu){};
@@ -293,8 +292,8 @@ class SolverEngine {
       STS_REQUIRES(reg.stats_mu);
   /// SLO cold start (elastic + target_p95 only): estimate the per-solve
   /// cost at registration — one warmed probe solve on a budget-leased
-  /// team (never oversubscribing concurrent batches) with the storage and
-  /// policy the engine will serve, scaled to other teams by the
+  /// team (never oversubscribing concurrent batches) with the fold policy
+  /// the engine will serve, scaled to other teams by the
   /// schedule's folded-makespan ratios (core::foldedMakespanAt) — and
   /// return the smallest power-of-two step of the controller's lattice
   /// whose estimate still fits inside half the p95 target (headroom for
@@ -330,9 +329,10 @@ class SolverEngine {
   /// Resolve lazily-expired requests (swept out by popBatch) with
   /// EngineError{kExpired} and retire them from in_flight_.
   void failExpired(std::vector<SolveRequest>& expired);
-  /// The overload controller's input: estimated queue delay, the max of
-  /// (depth x p50 batch seconds / workers) and the oldest queued wait —
-  /// the latter keeps a stalled worker visible when depth alone is static.
+  /// The overload controller's input: queueDelayEstimate over the queue
+  /// depth in batches of the next pop's coalescing cap, the p50 batch
+  /// seconds and the oldest queued wait — the latter keeps a stalled
+  /// worker visible when depth alone is static.
   double estQueueDelay(std::chrono::steady_clock::time_point now) const;
   /// One latch decision off a fresh delay estimate; a flip emits an
   /// `overload_step` trace instant and counts in sts.engine.overload_steps.

@@ -4,12 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exec/storage.hpp"
 #include "sparse/types.hpp"
 
 /// \file types.hpp
@@ -89,9 +87,8 @@ class EngineError : public std::runtime_error {
 
 /// ## How the adaptive options interact
 ///
-/// `fold_policy` / `storage` (exec::SolverOptions), `target_p95`,
-/// `core_budget`, `core_set`, and `pin_threads` compose; each owns one
-/// decision:
+/// `fold_policy` (exec::SolverOptions), `target_p95`, `core_budget`,
+/// `core_set`, and `pin_threads` compose; each owns one decision:
 ///
 /// | Option                 | Decides                 | Interaction |
 /// |------------------------|-------------------------|-------------|
@@ -101,17 +98,16 @@ class EngineError : public std::runtime_error {
 /// | `core_set`             | WHICH cores back the budget | non-empty switches CoreBudget to core-set mode: grants are explicit disjoint CPU ids; `core_budget` > 0 additionally truncates the set to its first `core_budget` ids |
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
 /// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
-/// | `storage` (engine or solver) | WHAT memory layout the hot loop walks | engine `storage` overrides each solver's `SolverOptions::storage` when set; kSlab streams per-(team, policy) thread-local packed records, kSharedCsr walks the analyzed CSR. Layout only — results stay bitwise identical |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
-/// | `overload_control`     | WHETHER the overload latch runs | off (default): nothing is rejected by pressure. on: an `OverloadController` estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait); once it reaches `overload_target_delay` the latch engages and rejects new throughput-class submissions (latency-class work is still admitted) until the delay falls to (1 - `overload_hysteresis`) x target. Every admitted batch still runs the exact executors. Each flip is an `overload_step` trace instant; admissions and refusals count in `sts.engine.admitted/rejected/expired/overload_steps` |
-/// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
+/// | `overload_control`     | WHETHER the overload latch runs | off (default): nothing is rejected by pressure. on: an `OverloadController` estimates queue delay from the queued depth, counted in batches of the coalescing cap, x the registry's batch-latency p50 (and the oldest queued wait — `queueDelayEstimate`); once it reaches `overload_target_delay` the latch engages and rejects new throughput-class submissions (latency-class work is still admitted) until the delay falls to (1 - `overload_hysteresis`) x target. Every admitted batch still runs the exact executors. Each flip is an `overload_step` trace instant; admissions and refusals count in `sts.engine.admitted/rejected/expired/overload_steps` |
+/// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per team; executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
 ///
 /// Pipeline per batch: elastic policy picks a DESIRED width → CoreBudget
 /// grants an actual width (and, in core-set mode, which cores) →
-/// `fold_policy` folds the schedule onto that width → `storage` picks the
-/// matrix layout the folded plan walks → `pin_threads` nails each team
-/// member to its leased core. Every stage is bitwise-lossless, so all the
-/// options can be toggled freely in production.
+/// `fold_policy` folds the schedule onto that width (the folded plan walks
+/// the analyzed CSR) → `pin_threads` nails each team member to its leased
+/// core. Every stage is bitwise-lossless, so all the options can be
+/// toggled freely in production.
 struct EngineOptions {
   /// Persistent dispatcher threads executing batches. Each concurrent
   /// batch additionally spins up the solver's own OpenMP team, so the
@@ -181,13 +177,6 @@ struct EngineOptions {
   /// portable fallback. Placement only: results are bitwise identical to
   /// unpinned solves. Pin outcomes are reported in SolverServingStats.
   bool pin_threads = false;
-  /// Matrix layout override for every batch the engine executes: unset
-  /// (default) uses each solver's own SolverOptions::storage; kSlab forces
-  /// the thread-local packed-record walk (exec/storage.hpp), kSharedCsr
-  /// forces the shared-CSR walk. Purely a layout choice — batch results
-  /// are bitwise identical either way; batches served from slabs are
-  /// counted in SolverServingStats::slab_batches.
-  std::optional<sts::exec::StorageKind> storage = std::nullopt;
   /// Couple the coalescing budget to the elastic policy: while the queue
   /// is deep (teams shrink) the effective batch cap rises toward
   /// 2 * max_batch — deeper amortization exactly when backlog can feed
@@ -212,7 +201,7 @@ struct EngineOptions {
   double overload_hysteresis = 0.5;
   /// Arm per-batch compute-vs-wait attribution (obs::SolveTrace on the
   /// leased context): `traceSummary()` then reports per-superstep compute
-  /// and barrier/p2p-wait time per (team, storage) combination. The cost
+  /// and barrier/p2p-wait time per team width. The cost
   /// is one branch per superstep per executor thread plus two atomic adds
   /// per thread per batch — on by default. Off makes executors see a null
   /// sink. Orthogonal to the process-wide obs::TraceSession; disabling
@@ -271,9 +260,6 @@ struct SolverServingStats {
   /// the pin was taken — OS migrations the pin corrected (the locality
   /// leak of unpinned elastic serving, made visible).
   std::uint64_t migrated_threads = 0;
-  /// Batches executed on the slab (thread-local packed) storage layout —
-  /// EngineOptions::storage override or the solver's own default.
-  std::uint64_t slab_batches = 0;
   /// Multi-RHS batches, all run on the solver's column tiles: a
   /// coalesced batch of k > 1 requests (packed into pooled staging tiles
   /// and solved via solveTiles) or a lone submitMulti request
@@ -318,15 +304,14 @@ struct SolverServingStats {
   double throughput_rhs_per_second = 0.0;
 };
 
-/// One (team, storage) attribution row of SolverEngine::traceSummary():
-/// where that configuration's batches spent their executor time, split
+/// One per-team attribution row of SolverEngine::traceSummary(): where
+/// the batches run at that team width spent their executor time, split
 /// into per-superstep compute and synchronization wait (BSP barrier
 /// crossings + P2P dependency spins) as measured by the per-thread
 /// StepTracers. Wait fraction is the paper's Table 7.2 axis — barrier
 /// overhead share — observable on production solves.
 struct TraceSummaryRow {
   int team = 0;  ///< granted OpenMP team width of these batches
-  sts::exec::StorageKind storage = sts::exec::StorageKind::kSharedCsr;
   std::uint64_t batches = 0;       ///< batches aggregated into this row
   std::uint64_t thread_steps = 0;  ///< (superstep, thread) pairs executed
   double compute_seconds = 0.0;    ///< summed per-thread compute time

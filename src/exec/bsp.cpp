@@ -16,78 +16,6 @@ using detail::computeRow;
 using detail::computeRowMulti;
 using detail::requireVectorSizes;
 
-namespace {
-
-/// The one OpenMP region shape shared by every barrier-synchronous slab
-/// walk (BspExecutor and ContiguousBspExecutor, single- and multi-RHS):
-/// pin + note, then stream the thread's slab with a barrier after every
-/// superstep. The per-record kernel is the only degree of freedom, so the
-/// hot region cannot diverge between executors (the row_kernels.hpp
-/// single-definition argument, applied to the region).
-template <typename NotePinFn, typename KernelFn>
-void slabSuperstepRegion(const detail::SlabPlan& plan, index_t steps,
-                         int team, std::span<const int> pin_set,
-                         SpinBarrier& barrier, obs::SolveTrace* sink,
-                         NotePinFn&& note_pin, KernelFn&& kernel) {
-  const bool sync = team > 1;
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    note_pin(pin);
-    obs::StepTracer tracer(sink);
-    std::uint64_t step = 0;
-    int sense = barrier.initialSense();
-    detail::forEachSlabRecord(plan.threads[t], steps, kernel, [&] {
-      // Superstep latency-spike failpoint (delay actions only: a throw
-      // escaping this omp region would terminate). A rank-filtered delay
-      // here models a straggler thread stretching every barrier.
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(step);
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(step);
-      }
-      ++step;
-    });
-  }
-}
-
-/// Tiled sibling of slabSuperstepRegion: each superstep's record run is
-/// replayed once per RHS column tile (forEachSlabRecordTiled) before the
-/// barrier, so the barrier count stays one per superstep regardless of
-/// tile count. The kernel receives (record, tile index).
-template <typename NotePinFn, typename KernelFn>
-void slabSuperstepRegionTiled(const detail::SlabPlan& plan, index_t steps,
-                              index_t tiles, int team,
-                              std::span<const int> pin_set,
-                              SpinBarrier& barrier, obs::SolveTrace* sink,
-                              NotePinFn&& note_pin, KernelFn&& kernel) {
-  const bool sync = team > 1;
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    note_pin(pin);
-    obs::StepTracer tracer(sink);
-    std::uint64_t step = 0;
-    int sense = barrier.initialSense();
-    detail::forEachSlabRecordTiled(plan.threads[t], steps, tiles, kernel,
-                                   [&] {
-                                     tracer.computeDone(step);
-                                     if (sync) {
-                                       barrier.wait(sense, team);
-                                       tracer.waitDone(step);
-                                     }
-                                     ++step;
-                                   });
-  }
-}
-
-}  // namespace
-
 BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
     : lower_(lower),
       num_threads_(schedule.numCores()),
@@ -112,7 +40,6 @@ BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
   rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
                                         num_supersteps_, lower.rowPtr());
   folded_.init(num_threads_, &full_);
-  slabs_.init(num_threads_);
 }
 
 const detail::FoldedLists& BspExecutor::foldedPlan(
@@ -124,48 +51,6 @@ const detail::FoldedLists& BspExecutor::foldedPlan(
     return detail::foldThreadLists(full_.verts, full_.step_ptr,
                                    num_supersteps_, t, map);
   });
-}
-
-const detail::SlabPlan& BspExecutor::slabPlan(int team,
-                                              core::FoldPolicy policy) const {
-  if (team == num_threads_) {
-    // The full-width plan is policy-invariant; build one slab and share
-    // it across the policy slots instead of packing the matrix twice.
-    return slabs_.getPolicyShared(team, [this]([[maybe_unused]] int t) {
-      STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-      return detail::buildSlabPlan(lower_, full_);
-    });
-  }
-  return slabs_.get(team, policy, [this](int t, core::FoldPolicy p) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    return detail::buildSlabPlan(lower_, foldedPlan(t, p));
-  });
-}
-
-void BspExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team, core::FoldPolicy policy,
-                        StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveSlab(b, x, ctx, team, policy);
-    return;
-  }
-  solve(b, x, ctx, team, policy);
-}
-
-void BspExecutor::solveSlab(std::span<const double> b, std::span<double> x,
-                            SolveContext& ctx, int team,
-                            core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "BspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solve");
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b, x,
-                                 rec.row);
-      });
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
@@ -199,7 +84,9 @@ void BspExecutor::solve(std::span<const double> b, std::span<double> x,
       for (size_t k = begin; k < end; ++k) {
         computeRow(row_ptr, col_idx, values, b, x, verts[k]);
       }
-      // Same straggler failpoint as the slab region (delay actions only).
+      // Superstep latency-spike failpoint (delay actions only: a throw
+      // escaping this omp region would terminate). A rank-filtered delay
+      // here models a straggler thread stretching every barrier.
       STS_FAILPOINT_RANK("exec.superstep", t);
       tracer.computeDone(static_cast<std::uint64_t>(s));
       if (sync) {
@@ -222,36 +109,6 @@ void BspExecutor::solve(std::span<const double> b, std::span<double> x,
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x) const {
   solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
-                                core::FoldPolicy policy,
-                                StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsSlab(b, x, nrhs, ctx, team, policy);
-    return;
-  }
-  solveMultiRhs(b, x, nrhs, ctx, team, policy);
-}
-
-void BspExecutor::solveMultiRhsSlab(std::span<const double> b,
-                                    std::span<double> x, index_t nrhs,
-                                    SolveContext& ctx, int team,
-                                    core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs, "BspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhs");
-  const auto r = static_cast<size_t>(nrhs);
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      b, x, rec.row, r);
-      });
 }
 
 void BspExecutor::solveMultiRhs(std::span<const double> b,
@@ -300,14 +157,9 @@ void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
                                      SolveContext& ctx, int team,
-                                     core::FoldPolicy policy,
-                                     StorageKind storage) const {
+                                     core::FoldPolicy policy) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "BspExecutor::solveMultiRhsTiled");
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsTiledSlab(b, x, layout, ctx, team, policy);
-    return;
-  }
   detail::requireTeamSize(team, num_threads_,
                           "BspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
@@ -351,35 +203,6 @@ void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
       }
     }
   }
-}
-
-void BspExecutor::solveMultiRhsTiledSlab(std::span<const double> b,
-                                         std::span<double> x,
-                                         const TileLayout& layout,
-                                         SolveContext& ctx, int team,
-                                         core::FoldPolicy policy) const {
-  detail::requireTeamSize(team, num_threads_,
-                          "BspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
-  const TileViews tiles = makeTileViews(layout, b, x);
-  slabSuperstepRegionTiled(
-      slabPlan(team, policy), num_supersteps_, layout.numTiles(), team,
-      ctx.pinnedCores(), ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec, index_t tile) {
-        const auto tk = static_cast<std::size_t>(tile);
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      tiles.b[tk], tiles.x[tk], rec.row,
-                                      tiles.width[tk]);
-      });
-}
-
-std::size_t BspExecutor::storageBytesMoved(int team, core::FoldPolicy policy,
-                                           StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    return detail::slabBytesMoved(slabPlan(team, policy));
-  }
-  return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
 void BspExecutor::solveMultiRhs(std::span<const double> b,
@@ -426,51 +249,6 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
     rank_loads_[g] = static_cast<core::weight_t>(row_ptr[hi] - row_ptr[lo]);
   }
   folded_.init(num_threads_);
-  slabs_.init(num_threads_);
-}
-
-const detail::SlabPlan& ContiguousBspExecutor::slabPlan(
-    int team, core::FoldPolicy policy) const {
-  // Materialize the row ranges as explicit per-thread row lists (the
-  // shape buildSlabPlan packs); the slab keeps the exact range walk
-  // order, so results stay bitwise identical to the range path.
-  const auto build = [this](int t, const FoldedRanges* plan) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    detail::FoldedLists lists;
-    lists.verts.resize(static_cast<size_t>(t));
-    lists.step_ptr.resize(static_cast<size_t>(t));
-    for (int q = 0; q < t; ++q) {
-      auto& verts = lists.verts[static_cast<size_t>(q)];
-      auto& ptr = lists.step_ptr[static_cast<size_t>(q)];
-      ptr.push_back(0);
-      for (index_t s = 0; s < num_supersteps_; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(t) +
-                         static_cast<size_t>(q);
-        if (plan == nullptr) {
-          const auto lo = static_cast<index_t>(group_ptr_[g]);
-          const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-          for (index_t i = lo; i < hi; ++i) verts.push_back(i);
-        } else {
-          const auto begin = static_cast<size_t>(plan->range_ptr[g]);
-          const auto end = static_cast<size_t>(plan->range_ptr[g + 1]);
-          for (size_t k = begin; k < end; ++k) {
-            const auto [lo, hi] = plan->ranges[k];
-            for (index_t i = lo; i < hi; ++i) verts.push_back(i);
-          }
-        }
-        ptr.push_back(static_cast<offset_t>(verts.size()));
-      }
-    }
-    return detail::buildSlabPlan(lower_, lists);
-  };
-  if (team == num_threads_) {
-    // Policy-invariant at full width: one slab shared across policies.
-    return slabs_.getPolicyShared(
-        team, [&](int t) { return build(t, nullptr); });
-  }
-  return slabs_.get(team, policy, [&](int t, core::FoldPolicy pol) {
-    return build(t, &foldedPlan(t, pol));
-  });
 }
 
 const ContiguousBspExecutor::FoldedRanges&
@@ -513,34 +291,6 @@ ContiguousBspExecutor::foldedPlan(int team, core::FoldPolicy policy) const {
     }
     return plan;
   });
-}
-
-void ContiguousBspExecutor::solve(std::span<const double> b,
-                                  std::span<double> x, SolveContext& ctx,
-                                  int team, core::FoldPolicy policy,
-                                  StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveSlab(b, x, ctx, team, policy);
-    return;
-  }
-  solve(b, x, ctx, team, policy);
-}
-
-void ContiguousBspExecutor::solveSlab(std::span<const double> b,
-                                      std::span<double> x, SolveContext& ctx,
-                                      int team,
-                                      core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "ContiguousBspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "ContiguousBspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "ContiguousBspExecutor::solve");
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b, x,
-                                 rec.row);
-      });
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
@@ -637,40 +387,6 @@ void ContiguousBspExecutor::solve(std::span<const double> b,
 void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
                                           std::span<double> x, index_t nrhs,
                                           SolveContext& ctx, int team,
-                                          core::FoldPolicy policy,
-                                          StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsSlab(b, x, nrhs, ctx, team, policy);
-    return;
-  }
-  solveMultiRhs(b, x, nrhs, ctx, team, policy);
-}
-
-void ContiguousBspExecutor::solveMultiRhsSlab(std::span<const double> b,
-                                              std::span<double> x,
-                                              index_t nrhs, SolveContext& ctx,
-                                              int team,
-                                              core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs,
-                     "ContiguousBspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhs");
-  const auto r = static_cast<size_t>(nrhs);
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      b, x, rec.row, r);
-      });
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team,
                                           core::FoldPolicy policy) const {
   requireVectorSizes(lower_, b, x, nrhs,
                      "ContiguousBspExecutor::solveMultiRhs");
@@ -747,14 +463,9 @@ void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                                std::span<double> x,
                                                const TileLayout& layout,
                                                SolveContext& ctx, int team,
-                                               core::FoldPolicy policy,
-                                               StorageKind storage) const {
+                                               core::FoldPolicy policy) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "ContiguousBspExecutor::solveMultiRhsTiled");
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsTiledSlab(b, x, layout, ctx, team, policy);
-    return;
-  }
   detail::requireTeamSize(team, num_threads_,
                           "ContiguousBspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(),
@@ -835,34 +546,6 @@ void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
       }
     }
   }
-}
-
-void ContiguousBspExecutor::solveMultiRhsTiledSlab(
-    std::span<const double> b, std::span<double> x, const TileLayout& layout,
-    SolveContext& ctx, int team, core::FoldPolicy policy) const {
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhsTiled");
-  const TileViews tiles = makeTileViews(layout, b, x);
-  slabSuperstepRegionTiled(
-      slabPlan(team, policy), num_supersteps_, layout.numTiles(), team,
-      ctx.pinnedCores(), ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec, index_t tile) {
-        const auto tk = static_cast<std::size_t>(tile);
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      tiles.b[tk], tiles.x[tk], rec.row,
-                                      tiles.width[tk]);
-      });
-}
-
-std::size_t ContiguousBspExecutor::storageBytesMoved(
-    int team, core::FoldPolicy policy, StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    return detail::slabBytesMoved(slabPlan(team, policy));
-  }
-  return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
 void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,

@@ -6,9 +6,7 @@
 
 #include "core/schedule.hpp"
 #include "exec/elastic.hpp"
-#include "exec/slab.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/storage.hpp"
 #include "exec/tile.hpp"
 #include "sparse/csr.hpp"
 
@@ -32,12 +30,6 @@
 /// are bitwise equal to the full-width solve under every policy. Folded
 /// plans are cached per (team size, policy) — construction cost is paid
 /// once, concurrent solves at mixed team sizes and policies are safe.
-///
-/// Storage: the most-explicit overloads additionally take a StorageKind.
-/// kSharedCsr walks the shared matrix through row_ptr/col_idx; kSlab
-/// streams per-thread packed row records (slab.hpp) built lazily per
-/// (team, policy) and cached beside the folded lists. Both layouts run
-/// the identical arithmetic, so storage never changes results.
 
 namespace sts::exec {
 
@@ -55,13 +47,9 @@ class BspExecutor {
   BspExecutor(const CsrMatrix& lower, const Schedule& schedule);
 
   /// x = L^{-1} b on a `team`-thread OpenMP team (the schedule folded to
-  /// `team` ranks under `policy`, walking the matrix through `storage`);
-  /// `ctx` carries the superstep barrier. Concurrent solves need distinct
-  /// contexts. Throws std::invalid_argument unless
-  /// 1 <= team <= numThreads().
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy,
-             StorageKind storage) const;
+  /// `team` ranks under `policy`); `ctx` carries the superstep barrier.
+  /// Concurrent solves need distinct contexts. Throws
+  /// std::invalid_argument unless 1 <= team <= numThreads().
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team, core::FoldPolicy policy) const;
   void solve(std::span<const double> b, std::span<double> x,
@@ -75,9 +63,6 @@ class BspExecutor {
   /// SpTRSM: X = L^{-1} B, both n x nrhs row-major. The schedule is
   /// RHS-count agnostic — each vertex simply carries nrhs times the work,
   /// so the barrier cost is amortized across the nrhs solves.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int team,
                      core::FoldPolicy policy) const;
@@ -96,13 +81,7 @@ class BspExecutor {
   /// solveMultiRhs's column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
-
-  /// Matrix bytes one full sweep of `storage` streams (builds the slab
-  /// plan on demand); the plans' side of the roofline byte model.
-  std::size_t storageBytesMoved(int team, core::FoldPolicy policy,
-                                StorageKind storage) const;
+                          int team, core::FoldPolicy policy) const;
 
   /// A fresh context shaped for this executor.
   std::unique_ptr<SolveContext> createContext() const {
@@ -117,17 +96,6 @@ class BspExecutor {
   /// numThreads() shares the unfolded `full_` lists across policies.
   const detail::FoldedLists& foldedPlan(int team,
                                         core::FoldPolicy policy) const;
-  /// The packed per-thread slab storage for (team, policy), built lazily
-  /// from the folded lists and cached beside them.
-  const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  void solveMultiRhsTiledSlab(std::span<const double> b, std::span<double> x,
-                              const TileLayout& layout, SolveContext& ctx,
-                              int team, core::FoldPolicy policy) const;
 
   const CsrMatrix& lower_;
   int num_threads_ = 0;
@@ -139,7 +107,6 @@ class BspExecutor {
   /// the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
   detail::TeamPlanCache<detail::FoldedLists> folded_;
-  detail::TeamPlanCache<detail::SlabPlan> slabs_;
   /// Backs the context-free overloads; mutable per-solve state only.
   mutable SolveContext default_ctx_;
 };
@@ -155,13 +122,8 @@ class ContiguousBspExecutor {
                         std::vector<offset_t> group_ptr);
 
   /// Folded team solve: thread q executes the row ranges of every original
-  /// rank the policy's rank map assigns to q, per superstep. The kSlab
-  /// storage walk replaces the range walk by the same rows as packed
-  /// records (identical order, identical results). 1 <= team <=
+  /// rank the policy's rank map assigns to q, per superstep. 1 <= team <=
   /// numThreads().
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy,
-             StorageKind storage) const;
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team, core::FoldPolicy policy) const;
   void solve(std::span<const double> b, std::span<double> x,
@@ -172,9 +134,6 @@ class ContiguousBspExecutor {
 
   /// SpTRSM over the contiguous row ranges: X = L^{-1} B, n x nrhs
   /// row-major, one barrier per superstep regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int team,
                      core::FoldPolicy policy) const;
@@ -190,13 +149,7 @@ class ContiguousBspExecutor {
   /// inside, bitwise per column).
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
-
-  /// Matrix bytes one full sweep of `storage` streams (builds the slab
-  /// plan on demand); the plans' side of the roofline byte model.
-  std::size_t storageBytesMoved(int team, core::FoldPolicy policy,
-                                StorageKind storage) const;
+                          int team, core::FoldPolicy policy) const;
 
   std::unique_ptr<SolveContext> createContext() const {
     return std::make_unique<SolveContext>(num_threads_, lower_.rows());
@@ -218,17 +171,6 @@ class ContiguousBspExecutor {
     std::vector<std::pair<index_t, index_t>> ranges;  ///< [lo, hi) rows
   };
   const FoldedRanges& foldedPlan(int team, core::FoldPolicy policy) const;
-  /// Slab storage for (team, policy): the row ranges materialized as
-  /// per-thread packed record streams (identical row order).
-  const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  void solveMultiRhsTiledSlab(std::span<const double> b, std::span<double> x,
-                              const TileLayout& layout, SolveContext& ctx,
-                              int team, core::FoldPolicy policy) const;
 
   const CsrMatrix& lower_;
   index_t num_supersteps_ = 0;
@@ -238,7 +180,6 @@ class ContiguousBspExecutor {
   /// feeds the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
   detail::TeamPlanCache<FoldedRanges> folded_;
-  detail::TeamPlanCache<detail::SlabPlan> slabs_;
   mutable SolveContext default_ctx_;
 };
 

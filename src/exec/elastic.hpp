@@ -106,29 +106,6 @@ class TeamPlanCache {
     return *slot.owned;
   }
 
-  /// Like get, for a team whose plan is policy-INVARIANT (the full width:
-  /// folding onto numCores() merges nothing, so every policy yields the
-  /// same plan): builds once via `build(team)` and publishes the one
-  /// owned plan under every policy slot of `team`. Do not mix with get()
-  /// on the same team.
-  template <typename BuildFn>
-  const Plan& getPolicyShared(int team, BuildFn&& build) const {
-    Slot& first = slots_[slotIndex(team, static_cast<core::FoldPolicy>(0))];
-    if (const Plan* plan = first.published.load(std::memory_order_acquire)) {
-      return *plan;
-    }
-    base::MutexLock lock(mu_);
-    if (const Plan* plan = first.published.load(std::memory_order_relaxed)) {
-      return *plan;
-    }
-    first.owned = std::make_unique<const Plan>(build(team));
-    for (int policy = 0; policy < core::kNumFoldPolicies; ++policy) {
-      slots_[slotIndex(team, static_cast<core::FoldPolicy>(policy))]
-          .published.store(first.owned.get(), std::memory_order_release);
-    }
-    return *first.owned;
-  }
-
  private:
   std::size_t slotIndex(int team, core::FoldPolicy policy) const {
     return static_cast<std::size_t>(policy) *
@@ -142,7 +119,7 @@ class TeamPlanCache {
   /// the enclosing cache's mutex, so the build mutex itself (base::Mutex
   /// + scoped MutexLock) carries the checked discipline here and the
   /// publication ordering stays a TSan-certified contract
-  /// (tests/test_slab.cpp, tests/test_elastic.cpp Concurrent suites).
+  /// (tests/test_elastic.cpp, tests/test_tiled.cpp Concurrent suites).
   struct Slot {
     std::atomic<const Plan*> published{nullptr};
     std::unique_ptr<const Plan> owned;

@@ -15,53 +15,6 @@ namespace sts::exec {
 
 namespace {
 
-/// The one OpenMP region shape shared by both P2P slab walks (single- and
-/// multi-RHS): pin + note, then stream the thread's slab, spin-waiting on
-/// each record's cross-thread parents before computing and stamping its
-/// completion flag. Only the per-record compute differs between callers.
-template <typename NotePinFn, typename ComputeFn>
-void slabP2pRegion(const detail::SlabPlan& plan, index_t steps, int team,
-                   std::span<const int> pin_set,
-                   std::span<const offset_t> wait_ptr,
-                   std::span<const index_t> wait_adj,
-                   std::atomic<std::uint32_t>* done, std::uint32_t epoch,
-                   obs::SolveTrace* sink, NotePinFn&& note_pin,
-                   ComputeFn&& compute) {
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    note_pin(pin);
-    obs::StepTracer tracer(sink);
-    detail::forEachSlabRecord(
-        plan.threads[t], steps,
-        [&](const detail::SlabRecordView& rec) {
-          const auto i = rec.row;
-          for (offset_t w = wait_ptr[static_cast<size_t>(i)];
-               w < wait_ptr[static_cast<size_t>(i) + 1]; ++w) {
-            const auto u =
-                static_cast<size_t>(wait_adj[static_cast<size_t>(w)]);
-            // Only unresolved dependencies are timed: the first load
-            // doubles as the resolved-already fast path, so a satisfied
-            // flag costs the tracer nothing.
-            if (done[u].load(std::memory_order_acquire) != epoch) {
-              tracer.spinBegin();
-              spinUntil([&] {
-                return done[u].load(std::memory_order_acquire) == epoch;
-              });
-              tracer.spinEnd(static_cast<std::uint64_t>(i));
-            }
-          }
-          compute(rec);
-          done[static_cast<size_t>(i)].store(epoch,
-                                             std::memory_order_release);
-        },
-        [] {});
-    tracer.finishP2p(static_cast<std::uint64_t>(steps));
-  }
-}
-
 /// Re-establishes the team-join happens-before edge through atomics after
 /// a P2P region. The OpenMP implicit barrier already joined the team, but
 /// libgomp's futex-based barrier is invisible to ThreadSanitizer (it is
@@ -111,7 +64,6 @@ P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
   rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
                                         num_supersteps_, lower.rowPtr());
   folded_.init(num_threads_, &full_);
-  slabs_.init(num_threads_);
 
   // Cross-thread parents in the sync DAG, flattened per vertex.
   wait_ptr_.assign(static_cast<size_t>(n) + 1, 0);
@@ -146,49 +98,6 @@ const detail::FoldedLists& P2pExecutor::foldedPlan(
     return detail::foldThreadLists(full_.verts, full_.step_ptr,
                                    num_supersteps_, t, map);
   });
-}
-
-const detail::SlabPlan& P2pExecutor::slabPlan(int team,
-                                              core::FoldPolicy policy) const {
-  if (team == num_threads_) {
-    // Policy-invariant at full width: one slab shared across policies.
-    return slabs_.getPolicyShared(team, [this]([[maybe_unused]] int t) {
-      STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-      return detail::buildSlabPlan(lower_, full_);
-    });
-  }
-  return slabs_.get(team, policy, [this](int t, core::FoldPolicy p) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    return detail::buildSlabPlan(lower_, foldedPlan(t, p));
-  });
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team, core::FoldPolicy policy,
-                        StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveSlab(b, x, ctx, team, policy);
-    return;
-  }
-  solve(b, x, ctx, team, policy);
-}
-
-void P2pExecutor::solveSlab(std::span<const double> b, std::span<double> x,
-                            SolveContext& ctx, int team,
-                            core::FoldPolicy policy) const {
-  detail::requireVectorSizes(lower_, b, x, 1, "P2pExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "P2pExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "P2pExecutor::solve");
-  const std::uint32_t epoch = ctx.beginP2pEpoch();
-  slabP2pRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      wait_ptr_, wait_adj_, ctx.done_.get(), epoch, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b, x,
-                                 rec.row);
-      });
-  acquireTeamWrites(foldedPlan(team, policy), ctx.done_.get(), epoch);
 }
 
 void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
@@ -255,38 +164,6 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x) const {
 void P2pExecutor::solveMultiRhs(std::span<const double> b,
                                 std::span<double> x, index_t nrhs,
                                 SolveContext& ctx, int team,
-                                core::FoldPolicy policy,
-                                StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsSlab(b, x, nrhs, ctx, team, policy);
-    return;
-  }
-  solveMultiRhs(b, x, nrhs, ctx, team, policy);
-}
-
-void P2pExecutor::solveMultiRhsSlab(std::span<const double> b,
-                                    std::span<double> x, index_t nrhs,
-                                    SolveContext& ctx, int team,
-                                    core::FoldPolicy policy) const {
-  detail::requireVectorSizes(lower_, b, x, nrhs, "P2pExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "P2pExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "P2pExecutor::solveMultiRhs");
-  const auto r = static_cast<size_t>(nrhs);
-  const std::uint32_t epoch = ctx.beginP2pEpoch();
-  slabP2pRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      wait_ptr_, wait_adj_, ctx.done_.get(), epoch, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      b, x, rec.row, r);
-      });
-  acquireTeamWrites(foldedPlan(team, policy), ctx.done_.get(), epoch);
-}
-
-void P2pExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
                                 core::FoldPolicy policy) const {
   detail::requireVectorSizes(lower_, b, x, nrhs, "P2pExecutor::solveMultiRhs");
   detail::requireTeamSize(team, num_threads_, "P2pExecutor::solveMultiRhs");
@@ -334,8 +211,7 @@ void P2pExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
                                      SolveContext& ctx, int team,
-                                     core::FoldPolicy policy,
-                                     StorageKind storage) const {
+                                     core::FoldPolicy policy) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "P2pExecutor::solveMultiRhsTiled");
   detail::requireTeamSize(team, num_threads_,
@@ -348,13 +224,8 @@ void P2pExecutor::solveMultiRhsTiled(std::span<const double> b,
   for (index_t t = 0; t < ntiles; ++t) {
     const auto bt = layout.tileSpan(b, t);
     const auto xt = layout.tileSpan(x, t);
-    const index_t w = layout.tileWidth(t);
-    if (storage == StorageKind::kSlab) {
-      solveMultiRhsSlab(bt, xt, w, ctx, team, policy);
-    } else {
-      solveTileCsrPass(bt, xt, static_cast<std::size_t>(w), ctx, team,
-                       policy);
-    }
+    const auto w = static_cast<std::size_t>(layout.tileWidth(t));
+    solveTileCsrPass(bt, xt, w, ctx, team, policy);
   }
 }
 
@@ -399,14 +270,6 @@ void P2pExecutor::solveTileCsrPass(std::span<const double> b_tile,
     tracer.finishP2p(static_cast<std::uint64_t>(num_supersteps_));
   }
   acquireTeamWrites(plan, done, epoch);
-}
-
-std::size_t P2pExecutor::storageBytesMoved(int team, core::FoldPolicy policy,
-                                           StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    return detail::slabBytesMoved(slabPlan(team, policy));
-  }
-  return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
 void P2pExecutor::solveMultiRhs(std::span<const double> b,

@@ -7,9 +7,7 @@
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
 #include "exec/elastic.hpp"
-#include "exec/slab.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/storage.hpp"
 #include "exec/tile.hpp"
 #include "sparse/csr.hpp"
 
@@ -55,13 +53,8 @@ class P2pExecutor {
               const Dag& sync_dag);
 
   /// x = L^{-1} b on a `team`-thread folded execution; `ctx` carries the
-  /// epoch-stamped completion flags. `storage` selects the matrix walk:
-  /// kSlab streams each thread's packed records (the wait lists stay
-  /// keyed by the vertex id each record carries). Concurrent solves need
-  /// distinct contexts. 1 <= team <= numThreads().
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy,
-             StorageKind storage) const;
+  /// epoch-stamped completion flags. Concurrent solves need distinct
+  /// contexts. 1 <= team <= numThreads().
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team, core::FoldPolicy policy) const;
   void solve(std::span<const double> b, std::span<double> x,
@@ -72,9 +65,6 @@ class P2pExecutor {
 
   /// SpTRSM: X = L^{-1} B, both n x nrhs row-major; one completion-flag
   /// store per vertex regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int team,
                      core::FoldPolicy policy) const;
@@ -94,15 +84,7 @@ class P2pExecutor {
   /// equal to solveMultiRhs's column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
-
-  /// Matrix bytes one full sweep of `storage` streams (builds the slab
-  /// plan on demand); the plans' side of the roofline byte model. The
-  /// tiled walk re-streams this once per tile AND per pass (the P2P tile
-  /// loop is outermost).
-  std::size_t storageBytesMoved(int team, core::FoldPolicy policy,
-                                StorageKind storage) const;
+                          int team, core::FoldPolicy policy) const;
 
   std::unique_ptr<SolveContext> createContext() const {
     return std::make_unique<SolveContext>(num_threads_, lower_.rows());
@@ -117,17 +99,8 @@ class P2pExecutor {
  private:
   const detail::FoldedLists& foldedPlan(int team,
                                         core::FoldPolicy policy) const;
-  /// Packed per-thread slab storage for (team, policy), cached beside the
-  /// folded vertex lists.
-  const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  /// One dependency-resolved shared-CSR pass over a single n x w tile
-  /// under a fresh epoch (the register-blocked per-tile leg of
-  /// solveMultiRhsTiled).
+  /// One dependency-resolved pass over a single n x w tile under a fresh
+  /// epoch (the register-blocked per-tile leg of solveMultiRhsTiled).
   void solveTileCsrPass(std::span<const double> b_tile,
                         std::span<double> x_tile, std::size_t w,
                         SolveContext& ctx, int team,
@@ -149,7 +122,6 @@ class P2pExecutor {
   std::vector<offset_t> wait_ptr_;
   std::vector<index_t> wait_adj_;
   detail::TeamPlanCache<detail::FoldedLists> folded_;
-  detail::TeamPlanCache<detail::SlabPlan> slabs_;
 
   mutable SolveContext default_ctx_;
 };

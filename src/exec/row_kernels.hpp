@@ -15,17 +15,17 @@
 /// would break it silently.
 ///
 /// Two kernel families share that sequence:
-///   * computeRow / computeRowMulti — the CSR forms, indexing the shared
-///     matrix through row_ptr (the StorageKind::kSharedCsr walk);
-///   * computeRowPacked / computeRowMultiPacked — raw-pointer forms over a
-///     row's packed off-diagonal cols/vals + diagonal (the
-///     StorageKind::kSlab walk; see slab.hpp). The multi-RHS form is
-///     VECTORIZED ACROSS RHS COLUMNS in fixed-width register blocks
-///     (r = 8, then 4, then a variable tail). Blocking the column loop
-///     never reorders any single column's floating-point operations —
-///     column c still runs init, the same subtractions in the same order,
-///     then one divide — so the bitwise contract survives vectorization
-///     (tests/test_slab.cpp pins packed == CSR for every executor).
+///   * computeRow / computeRowMulti — the CSR forms, indexing the
+///     matrix through row_ptr;
+///   * computeRowMultiPacked — a raw-pointer form over one row's
+///     off-diagonal cols/vals + diagonal, which computeRowMultiTiled runs
+///     on a CSR row slice. It is VECTORIZED ACROSS RHS COLUMNS in
+///     fixed-width register blocks (r = 8, then 4, then a variable tail).
+///     Blocking the column loop never reorders any single column's
+///     floating-point operations — column c still runs init, the same
+///     subtractions in the same order, then one divide — so the bitwise
+///     contract survives vectorization (tests/test_tiled.cpp pins tiled ==
+///     untiled for every executor).
 
 namespace sts::exec::detail {
 
@@ -66,20 +66,6 @@ inline void computeRowMulti(std::span<const offset_t> row_ptr,
   for (size_t c = 0; c < r; ++c) xi[c] /= d;
 }
 
-/// Packed-row form of computeRow: `cols`/`vals` are the row's nnz
-/// off-diagonal entries in CSR order, `diag` its diagonal. The identical
-/// arithmetic sequence, so x[i] is bitwise equal to computeRow's.
-inline void computeRowPacked(const index_t* cols, const double* vals,
-                             std::size_t nnz, double diag,
-                             std::span<const double> b, std::span<double> x,
-                             index_t i) {
-  double acc = b[static_cast<size_t>(i)];
-  for (std::size_t k = 0; k < nnz; ++k) {
-    acc -= vals[k] * x[static_cast<size_t>(cols[k])];
-  }
-  x[static_cast<size_t>(i)] = acc / diag;
-}
-
 /// One fixed-width column block of the packed multi-RHS step: columns
 /// [c0, c0 + R) of row i, where `bi`/`xi` already point at column c0 of
 /// rows i of B/X and `x_blk` at column c0 of X's row 0 (leading dimension
@@ -105,7 +91,9 @@ inline void computeRowMultiPackedFixed(const index_t* cols,
   for (std::size_t c = 0; c < R; ++c) xi[c] = acc[c] / diag;
 }
 
-/// Packed multi-RHS substitution step, vectorized across the RHS columns:
+/// Multi-RHS substitution step on one row's off-diagonal entries
+/// `cols`/`vals` (CSR order) and diagonal `diag`, vectorized across the
+/// RHS columns:
 /// register blocks of 8, then 4, then a variable tail running the
 /// computeRowMulti loop shape on the remaining columns. Column c of the
 /// result is bitwise equal to computeRowMulti's column c for every r.
@@ -140,8 +128,7 @@ inline void computeRowMultiPacked(const index_t* cols, const double* vals,
 /// Tiled multi-RHS substitution step over one RHS column tile: `b_tile`
 /// and `x_tile` are a contiguous n x w row-major tile (TileLayout,
 /// tile.hpp) and `w` its width. Slices the CSR row at row_ptr and runs the
-/// register-blocked packed kernel on it — the shared-CSR analogue of the
-/// slab walk's computeRowMultiPacked, giving the CSR tile loop the same
+/// register-blocked computeRowMultiPacked on it, giving the tile loop
 /// across-column vectorization. Column c of the tile is bitwise equal to
 /// computeRowMulti's column tileBegin + c because blocking never reorders
 /// a single column's operations (the file-top contract).

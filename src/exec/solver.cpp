@@ -220,14 +220,13 @@ std::unique_ptr<SolveContext> TriangularSolver::createContext() const {
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
                              SolveContext& ctx, int threads,
-                             core::FoldPolicy policy,
-                             StorageKind storage) const {
+                             core::FoldPolicy policy) const {
   if (static_cast<index_t>(b.size()) != n_ ||
       static_cast<index_t>(x.size()) != n_) {
     throw std::invalid_argument("TriangularSolver::solve: size mismatch");
   }
   if (!permuted_) {
-    solvePermuted(b, x, ctx, threads, policy, storage);
+    solvePermuted(b, x, ctx, threads, policy);
     return;
   }
   const int team = clampTeam(threads);
@@ -235,14 +234,8 @@ void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
   const auto b_int = ctx.bScratch(n);
   const auto x_int = ctx.xScratch(n);
   gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
-  solvePermuted(b_int, x_int, ctx, team, policy, storage);
+  solvePermuted(b_int, x_int, ctx, team, policy);
   gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
-}
-
-void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads,
-                             core::FoldPolicy policy) const {
-  solve(b, x, ctx, threads, policy, options_.storage);
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
@@ -263,8 +256,7 @@ void TriangularSolver::solve(std::span<const double> b,
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
                                      std::span<double> x, index_t nrhs,
                                      SolveContext& ctx, int threads,
-                                     core::FoldPolicy policy,
-                                     StorageKind storage) const {
+                                     core::FoldPolicy policy) const {
   const auto n = static_cast<size_t>(n_);
   if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
       x.size() != b.size()) {
@@ -282,20 +274,13 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
     x_out = ctx.xScratch(n * r);
   }
   if (contiguous_) {
-    contiguous_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
+    contiguous_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
   } else if (p2p_) {
-    p2p_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
+    p2p_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
   } else {
-    bsp_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
+    bsp_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
   }
   if (permuted_) gatherRowMajor(old_to_new_, x_out, x, r, ctx, team);
-}
-
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads,
-                                     core::FoldPolicy policy) const {
-  solveMultiRhs(b, x, nrhs, ctx, threads, policy, options_.storage);
 }
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
@@ -327,8 +312,7 @@ TileLayout TriangularSolver::tileLayout(index_t nrhs,
 void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                                           std::span<double> x, index_t nrhs,
                                           SolveContext& ctx, int threads,
-                                          core::FoldPolicy policy,
-                                          StorageKind storage) const {
+                                          core::FoldPolicy policy) const {
   const auto n = static_cast<size_t>(n_);
   if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
       x.size() != b.size()) {
@@ -352,15 +336,14 @@ void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                       r, w});
   }
   gatherRows(total_new_to_old_, pack, ctx, team);
-  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
+  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy);
   gatherRows(old_to_new_, unpack, ctx, team);
 }
 
 void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                                           std::span<double> x, index_t nrhs,
                                           SolveContext& ctx) const {
-  solveMultiRhsTiled(b, x, nrhs, ctx, default_team_, options_.fold_policy,
-                     options_.storage);
+  solveMultiRhsTiled(b, x, nrhs, ctx, default_team_, options_.fold_policy);
 }
 
 void TriangularSolver::packTiles(std::span<const std::span<const double>> b,
@@ -400,54 +383,24 @@ void TriangularSolver::unpackTiles(std::span<const double> x_tiled,
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   std::span<double> x_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
-                                  int threads, core::FoldPolicy policy,
-                                  StorageKind storage) const {
+                                  int threads,
+                                  core::FoldPolicy policy) const {
   if (layout.cols() == 1) {
     // A width-1 tile is the internal-order vector itself: the vector
     // kernel beats the register-blocked tiled one at a single column.
     requireTileShapes(n_, layout, b_tiled, x_tiled,
                       "TriangularSolver::solveTiles");
-    solvePermuted(b_tiled, x_tiled, ctx, threads, policy, storage);
+    solvePermuted(b_tiled, x_tiled, ctx, threads, policy);
     return;
   }
   const int team = clampTeam(threads);
   if (contiguous_) {
     contiguous_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team,
-                                    policy, storage);
+                                    policy);
   } else if (p2p_) {
-    p2p_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy,
-                             storage);
+    p2p_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy);
   } else {
-    bsp_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy,
-                             storage);
-  }
-}
-
-std::size_t TriangularSolver::storageBytesMoved(int threads,
-                                                core::FoldPolicy policy,
-                                                StorageKind storage) const {
-  const int team = clampTeam(threads);
-  if (contiguous_) return contiguous_->storageBytesMoved(team, policy, storage);
-  if (p2p_) return p2p_->storageBytesMoved(team, policy, storage);
-  return bsp_->storageBytesMoved(team, policy, storage);
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x, SolveContext& ctx,
-                                     int threads, core::FoldPolicy policy,
-                                     StorageKind storage) const {
-  if (static_cast<index_t>(b.size()) != n_ ||
-      static_cast<index_t>(x.size()) != n_) {
-    throw std::invalid_argument(
-        "TriangularSolver::solvePermuted: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  if (contiguous_) {
-    contiguous_->solve(b, x, ctx, team, policy, storage);
-  } else if (p2p_) {
-    p2p_->solve(b, x, ctx, team, policy, storage);
-  } else {
-    bsp_->solve(b, x, ctx, team, policy, storage);
+    bsp_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy);
   }
 }
 
@@ -455,7 +408,19 @@ void TriangularSolver::solvePermuted(std::span<const double> b,
                                      std::span<double> x, SolveContext& ctx,
                                      int threads,
                                      core::FoldPolicy policy) const {
-  solvePermuted(b, x, ctx, threads, policy, options_.storage);
+  if (static_cast<index_t>(b.size()) != n_ ||
+      static_cast<index_t>(x.size()) != n_) {
+    throw std::invalid_argument(
+        "TriangularSolver::solvePermuted: size mismatch");
+  }
+  const int team = clampTeam(threads);
+  if (contiguous_) {
+    contiguous_->solve(b, x, ctx, team, policy);
+  } else if (p2p_) {
+    p2p_->solve(b, x, ctx, team, policy);
+  } else {
+    bsp_->solve(b, x, ctx, team, policy);
+  }
 }
 
 void TriangularSolver::solvePermuted(std::span<const double> b,
@@ -473,6 +438,28 @@ void TriangularSolver::solvePermuted(std::span<const double> b,
 void TriangularSolver::solvePermuted(std::span<const double> b,
                                      std::span<double> x) const {
   solvePermuted(b, x, defaultContext(), default_team_);
+}
+
+void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
+                                          std::span<double> x, index_t nrhs,
+                                          SolveContext& ctx, int threads,
+                                          core::FoldPolicy policy,
+                                          StorageKind /*storage*/) const {
+  solveMultiRhsTiled(b, x, nrhs, ctx, threads, policy);
+}
+
+void TriangularSolver::solveTiles(std::span<const double> b_tiled,
+                                  std::span<double> x_tiled,
+                                  const TileLayout& layout, SolveContext& ctx,
+                                  int threads, core::FoldPolicy policy,
+                                  StorageKind /*storage*/) const {
+  solveTiles(b_tiled, x_tiled, layout, ctx, threads, policy);
+}
+
+std::size_t TriangularSolver::storageBytesMoved(
+    int /*threads*/, core::FoldPolicy /*policy*/,
+    StorageKind /*storage*/) const {
+  return csrBytesMoved(matrix_->rows(), matrix_->nnz());
 }
 
 }  // namespace sts::exec

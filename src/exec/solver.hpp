@@ -56,18 +56,6 @@
 /// Values of `threads` above numThreads() clamp to numThreads(); values
 /// below 1 throw std::invalid_argument.
 ///
-/// ## Storage
-///
-/// Independently of team size and fold policy, every explicit solve
-/// overload accepts a StorageKind selecting how the hot loop walks the
-/// matrix: kSharedCsr (the analyzed CSR, row_ptr indirection) or kSlab
-/// (per-thread packed record streams built per (team, policy) and cached
-/// inside the executors — see storage.hpp / slab.hpp).
-/// SolverOptions::storage sets the solver-wide default the overloads
-/// without an explicit kind use. Storage is a pure layout choice: results
-/// are bitwise identical under both kinds for every executor, team,
-/// policy, and RHS count (tests/test_slab.cpp).
-///
 /// ## Affinity
 ///
 /// Placement is a context property, not a solver one: arm a SolveContext
@@ -123,12 +111,10 @@ struct SolverOptions {
   /// explicit core::FoldPolicy override it per solve. kModulo keeps PR 2's
   /// p mod t fold; kBinPack packs ranks by per-superstep load.
   core::FoldPolicy fold_policy = core::FoldPolicy::kModulo;
-  /// Default matrix layout of the solve hot path; overloads taking an
-  /// explicit StorageKind override it per solve. kSharedCsr walks the
-  /// analyzed CSR; kSlab streams per-thread packed row records (cached per
-  /// (team, fold policy) like the folded plans — storage.hpp). Bitwise
-  /// identical results either way.
-  StorageKind storage = StorageKind::kSharedCsr;
+  /// The matrix layout every solve walks: the analyzed CSR, always
+  /// (storage.hpp). Not a setting; it stays readable so that callers
+  /// passing it to the StorageKind forwards below keep compiling.
+  static constexpr StorageKind storage = StorageKind::kSharedCsr;
   /// RHS column-tile width of the tiled multi-RHS path (tile.hpp); 0 sizes
   /// it automatically from the detected cache geometry (pickTileCols,
   /// overridable by STS_TILE_COLS). Explicit tileLayout() arguments
@@ -163,9 +149,6 @@ class TriangularSolver {
   /// above); overloads without them run at defaultTeam() under
   /// options().fold_policy.
   void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int threads, core::FoldPolicy policy,
-             StorageKind storage) const;
-  void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int threads, core::FoldPolicy policy) const;
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int threads) const;
@@ -179,9 +162,6 @@ class TriangularSolver {
   /// solves, amortizing every barrier/flag crossing (Table 7.7's
   /// block-parallel idea); column c of X is bitwise equal to solve() on
   /// column c of B.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int threads,
-                     core::FoldPolicy policy, StorageKind storage) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int threads,
                      core::FoldPolicy policy) const;
@@ -199,7 +179,7 @@ class TriangularSolver {
   /// so tiling adds no pass beyond what the permuted path already pays.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           index_t nrhs, SolveContext& ctx, int threads,
-                          core::FoldPolicy policy, StorageKind storage) const;
+                          core::FoldPolicy policy) const;
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           index_t nrhs, SolveContext& ctx) const;
 
@@ -211,7 +191,7 @@ class TriangularSolver {
   /// whose vector kernel beats the tiled one at nrhs = 1.
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
                   const TileLayout& layout, SolveContext& ctx, int threads,
-                  core::FoldPolicy policy, StorageKind storage) const;
+                  core::FoldPolicy policy) const;
 
   /// solveTiles' b side for callers holding one ORIGINAL-order vector per
   /// right-hand side: column j of `layout` (layout.cols() == b.size(), each
@@ -232,12 +212,6 @@ class TriangularSolver {
   /// pickTileCols default.
   TileLayout tileLayout(index_t nrhs, index_t tile_cols = 0) const;
 
-  /// Matrix bytes one full sweep of `storage` streams on a `threads`-wide
-  /// team (builds the slab plan on demand); the plans' side of the
-  /// tools/roofline.py byte model.
-  std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
-                                StorageKind storage) const;
-
   /// Solve with b and x in the solver's INTERNAL (schedule-permuted) row
   /// order: position i corresponds to original row permutation()[i].
   /// Workflows that keep their vectors in permuted space across many solves
@@ -246,9 +220,6 @@ class TriangularSolver {
   /// that solve() runs around it. Identical to solve() when no permutation
   /// was applied.
   void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx, int threads, core::FoldPolicy policy,
-                     StorageKind storage) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x,
                      SolveContext& ctx, int threads,
                      core::FoldPolicy policy) const;
   void solvePermuted(std::span<const double> b, std::span<double> x,
@@ -256,6 +227,19 @@ class TriangularSolver {
   void solvePermuted(std::span<const double> b, std::span<double> x,
                      SolveContext& ctx) const;
   void solvePermuted(std::span<const double> b, std::span<double> x) const;
+
+  // Forwards for callers that still pass a StorageKind: bench/ledger's
+  // three call sites. Each ignores it. Drop the block once a change of its
+  // own moves those call sites to the storage-free overloads above.
+  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
+                          index_t nrhs, SolveContext& ctx, int threads,
+                          core::FoldPolicy policy, StorageKind storage) const;
+  void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
+                  const TileLayout& layout, SolveContext& ctx, int threads,
+                  core::FoldPolicy policy, StorageKind storage) const;
+  /// Matrix bytes of one full sweep of the CSR: csrBytesMoved(n, nnz).
+  std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
+                                StorageKind storage) const;
 
   /// new_to_old map of the internal order (identity when not permuted).
   std::span<const index_t> permutation() const { return total_new_to_old_; }

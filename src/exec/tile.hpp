@@ -11,7 +11,7 @@
 
 /// \file tile.hpp
 /// Cache-aware column tiling of the multi-RHS right-hand-side/solution
-/// matrix (the StorageKind-orthogonal RHS layout of the tiled solve path).
+/// matrix (the RHS layout of the tiled solve path).
 ///
 /// The untiled multi-RHS walk sweeps an n x nrhs row-major matrix: every
 /// row kernel touches nrhs doubles of X per referenced column, so at wide
@@ -30,7 +30,7 @@
 /// in exactly the layout the untiled kernels consume, and tiling never
 /// splits or reorders a column's arithmetic — column c of a tiled solve is
 /// bit-for-bit the column c of the untiled solve (tests/test_tiled.cpp
-/// pins this for every executor, storage, team, and nrhs).
+/// pins this for every executor, team, and nrhs).
 
 namespace sts::exec {
 
@@ -210,10 +210,9 @@ inline void requireTileShapes(index_t rows, const TileLayout& layout,
   }
 }
 
-/// Bytes one full sweep of a shared-CSR walk streams from the matrix
-/// arrays (row_ptr deltas + col_idx + values per stored entry); the CSR
-/// side of the plans' bytesMoved() accounting. Tiled walks re-stream this
-/// once per tile.
+/// Bytes one full sweep of the CSR walk streams from the matrix arrays
+/// (row_ptr deltas + col_idx + values per stored entry); the matrix side
+/// of the roofline byte model. Tiled walks re-stream this once per tile.
 inline std::size_t csrBytesMoved(index_t rows, offset_t nnz) {
   return (static_cast<std::size_t>(rows) + 1) * sizeof(offset_t) +
          static_cast<std::size_t>(nnz) * (sizeof(index_t) + sizeof(double));

@@ -14,9 +14,9 @@
 /// Solve-path tracing: who spent how long where, inside a real solve.
 ///
 /// The engine makes layered runtime decisions — coalescing, fold-policy
-/// team sizing, SLO controller steps, core leases and pins, CSR-vs-slab
-/// storage — and this header is the substrate that makes every one of
-/// them observable on production traffic:
+/// team sizing, SLO controller steps, core leases and pins — and this
+/// header is the substrate that makes every one of them observable on
+/// production traffic:
 ///
 ///   * `TraceRing` — a per-thread, fixed-capacity ring of fixed-size
 ///     `TraceEvent` records. Single-writer (the owning thread), relaxed/
@@ -43,7 +43,7 @@
 /// `coalesce` → `lease` → `pack` → `solve` → `unpack` → `batch_done`,
 /// plus `pin` instants (one per team member) and `slo_step` controller
 /// decisions. Plan construction (category "plan"): `analyze`,
-/// `fold_build`, `slab_build`, `seed_probe`. Hot loop (category "exec"):
+/// `fold_build`, `seed_probe`. Hot loop (category "exec"):
 /// per-superstep `compute` and `barrier_wait` spans per OpenMP thread;
 /// `p2p_wait` spans for long cross-thread spins.
 ///

@@ -214,8 +214,9 @@ TEST(ElasticSolve, FoldedBitwiseEqualsFullWidthEveryKindEveryTeam) {
   }
 }
 
-/// Mixed team sizes on one solver, concurrently, each solve on its own
-/// context — the folded-plan caches are built lazily under contention.
+/// Mixed team sizes and fold policies on one solver, concurrently, each
+/// solve on its own context — the folded-plan caches are built lazily
+/// under contention.
 /// Runs under TSan in CI ("Concurrent" filter).
 TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
   struct SolverCase {
@@ -254,11 +255,15 @@ TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
       threads.emplace_back([&, i] {
         const auto ctx = solver.createContext();
         std::vector<double> x(n, 0.0);
+        // Alternate policies across threads, so kBinPack plan builds race
+        // kModulo ones as well as each other.
+        const auto policy = i % 2 == 0 ? core::FoldPolicy::kModulo
+                                       : core::FoldPolicy::kBinPack;
         for (int r = 0; r < kSolvesPerThread; ++r) {
           // Every thread cycles through all team sizes, so plan builds for
           // each size race on first use.
           const int team = 1 + (i + r) % width;
-          solver.solve(b, x, *ctx, team);
+          solver.solve(b, x, *ctx, team, policy);
           if (x != expected) ++failures[static_cast<size_t>(i)];
         }
       });

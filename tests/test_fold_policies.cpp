@@ -30,7 +30,9 @@
 /// imbalanced stand-ins); the CoreBudget arbiter bounds aggregate granted
 /// teams across concurrent batches (run under TSan in CI); the SLO
 /// controller shrinks under slack and holds the base under violation; the
-/// adaptive coalescing cap expands batches only under a deep queue.
+/// adaptive coalescing cap expands batches only under a deep queue; the
+/// controller's cold start seeds from the analyze-time cost model, whose
+/// foldedMakespanAt composes the rank map with the folded makespan.
 
 namespace sts {
 namespace {
@@ -319,6 +321,30 @@ TEST(BinPackFold, FoldToSelfSharesPayload) {
   EXPECT_EQ(copy.cores().data(), s.cores().data());
 }
 
+TEST(BinPackFold, FoldedMakespanAtMatchesManualComposition) {
+  const auto lower = datagen::erdosRenyiLower({.n = 200, .p = 1e-2,
+                                               .seed = 51});
+  const auto dag = dag::Dag::fromLowerTriangular(lower);
+  const auto schedule = core::growLocalSchedule(dag, {.num_cores = 4});
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    for (int t = 1; t <= schedule.numCores(); ++t) {
+      const auto loads = schedule.rankLoads();
+      const auto map = core::foldRankMap(schedule.numSupersteps(),
+                                         schedule.numCores(), t, policy,
+                                         loads);
+      const auto expected = core::foldedMakespan(
+          loads, schedule.numSupersteps(), schedule.numCores(), t, map);
+      EXPECT_EQ(core::foldedMakespanAt(schedule, t, policy), expected);
+    }
+  }
+  EXPECT_THROW(core::foldedMakespanAt(schedule, 0, core::FoldPolicy::kModulo),
+               std::invalid_argument);
+  EXPECT_THROW(core::foldedMakespanAt(schedule, schedule.numCores() + 1,
+                                      core::FoldPolicy::kModulo),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- budget --
 
 TEST(CoreBudget, ValidatesAndTracksPeak) {
@@ -448,6 +474,16 @@ TEST(CoreBudgetEngine, ConcurrentBatchesRespectBudget) {
 
 // ------------------------------------------------------- SLO controller --
 
+/// A deterministic n x nrhs right-hand side; `salt` varies it per request.
+std::vector<double> makeRhs(size_t n, index_t nrhs, unsigned salt = 0) {
+  std::vector<double> b(n * static_cast<size_t>(nrhs));
+  for (size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + 0.125 * static_cast<double>((i * 7 + salt) % 23) -
+           0.5 * static_cast<double>((i + salt) % 3);
+  }
+  return b;
+}
+
 TEST(SloElastic, UnreachableTargetHoldsBaseWidth) {
   const auto lower = datagen::bandedLower(300, 8, 0.5, 61);
   auto solver = analyzeWide(lower, 4);
@@ -516,6 +552,53 @@ TEST(SloElastic, SlackTargetShrinksUnderBacklog) {
   EXPECT_GT(stats.shrunk_batches, 0u);
   EXPECT_LT(stats.mean_team_size, 4.0);
   EXPECT_GE(stats.mean_team_size, 1.0);
+}
+
+TEST(SloElastic, ColdStartSeedsFromCostModel) {
+  const auto lower = datagen::grid2dLaplacian5(12, 12).lowerTriangle();
+  const auto n = static_cast<size_t>(lower.rows());
+  SolverOptions solver_opts;
+  solver_opts.num_threads = 4;
+  auto solver = std::make_shared<const TriangularSolver>(
+      TriangularSolver::analyze(lower, solver_opts));
+  const int base = 4;
+
+  // Generous target: the cost model must conclude the minimum team still
+  // meets it and seed the controller below the base width. team_size pins
+  // the base at the analyzed width so the test is host-independent (the
+  // default team clamps to the machine's cores).
+  engine::EngineOptions opts;
+  opts.num_workers = 1;
+  opts.team_size = base;
+  opts.elastic = true;
+  opts.target_p95 = 30.0;  // far above any solve on this matrix
+  opts.start_paused = true;
+  engine::SolverEngine engine(opts);
+  const auto id = engine.registerSolver(solver);
+  const auto seeded = engine.stats(id).seeded_team;
+  EXPECT_GE(seeded, 1);
+  EXPECT_LT(seeded, base);
+
+  // The first window must be served at the seeded width, not the base.
+  std::vector<std::future<std::vector<double>>> futures;
+  for (unsigned j = 0; j < 4; ++j) {
+    futures.push_back(engine.submit(id, makeRhs(n, 1, j)));
+  }
+  engine.resume();
+  for (auto& f : futures) f.get();
+  // Futures resolve before the worker posts its stats; drain() returns
+  // only after the batch fully retires, so the snapshot below is stable.
+  engine.drain();
+  const auto stats = engine.stats(id);
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_LE(stats.mean_team_size, static_cast<double>(seeded) + 1e-9);
+
+  // Unreachable target: the model must keep the base width (no seed).
+  engine::EngineOptions tight = opts;
+  tight.target_p95 = 1e-12;
+  engine::SolverEngine tight_engine(tight);
+  const auto tight_id = tight_engine.registerSolver(solver);
+  EXPECT_EQ(tight_engine.stats(tight_id).seeded_team, 0);
 }
 
 // --------------------------------------------------- adaptive coalescing --

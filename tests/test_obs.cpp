@@ -334,7 +334,7 @@ TEST(ServingStats, ApiStaysBackCompatibleWithHistogramQuantiles) {
             std::string::npos);
 }
 
-TEST(TraceSummary, AttributesComputePerTeamAndStorage) {
+TEST(TraceSummary, AttributesComputePerTeam) {
   const auto lower = datagen::bandedLower(500, 10, 0.6, 17);
   exec::SolverOptions solver_opts;
   solver_opts.num_threads = 2;
@@ -359,7 +359,12 @@ TEST(TraceSummary, AttributesComputePerTeamAndStorage) {
 #if STS_TRACING
   ASSERT_FALSE(rows.empty());
   std::uint64_t batches = 0;
+  int prev_team = 0;
   for (const auto& row : rows) {
+    // One row per team width, sorted by team.
+    EXPECT_GT(row.team, prev_team);
+    EXPECT_LE(row.team, solver->numThreads());
+    prev_team = row.team;
     batches += row.batches;
     EXPECT_GT(row.thread_steps, 0u);
     EXPECT_GT(row.compute_seconds + row.wait_seconds, 0.0);

@@ -62,6 +62,24 @@ TEST(OverloadStep, NanPressureHoldsTheState) {
   EXPECT_TRUE(overloadStep(nan, 0.5, true));
 }
 
+TEST(QueueDelayEstimate, PricesQueuedRequestsAsCoalescedBatches) {
+  const double p50 = 2e-3;
+  // 3 queued single-RHS requests at batch cap 8 drain as one batch.
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 3, 8, 1, 0.0), p50);
+  // One past a full batch needs a second; workers share the batches.
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 9, 8, 1, 0.0), 2 * p50);
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 9, 8, 2, 0.0), p50);
+  // Coalescing off (cap 1): every queued request is a batch.
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 3, 1, 1, 0.0), 3 * p50);
+  // An empty queue prices nothing; a cap or worker count of 0 counts as 1.
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 0, 8, 2, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 3, 0, 0, 0.0), 3 * p50);
+  // A stalled head outlasting the depth term dominates it (max, not sum),
+  // and a fresh head does not.
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 3, 8, 1, 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(queueDelayEstimate(p50, 24, 8, 1, 1e-3), 3 * p50);
+}
+
 TEST(OverloadController, ReportsEachFlipOnce) {
   OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5);
   EXPECT_FALSE(controller.engaged());

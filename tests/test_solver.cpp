@@ -195,8 +195,8 @@ TEST(TriangularSolver, SolveMultiRhsMatchesIndependentSolves) {
 /// by permutation(), run solvePermuted (per column) or solveTiles, scatter
 /// x back. Bitwise, for both triangles (upper = reversal, then the
 /// schedule's reorder where one applies), three executors, uneven row
-/// partitions (n = 499 splits evenly across neither 3 nor 4 members), and
-/// both storages.
+/// and uneven row partitions (n = 499 splits evenly across neither 3 nor 4
+/// members).
 const struct {
   SchedulerKind kind;
   bool reorder;
@@ -207,13 +207,13 @@ const struct {
     {SchedulerKind::kWavefront, false, "Wavefront"},
 };
 
-/// (upper, config index, team — 0 meaning numThreads(), storage).
-using CrossingParam = std::tuple<bool, size_t, int, StorageKind>;
+/// (upper, config index, team — 0 meaning numThreads()).
+using CrossingParam = std::tuple<bool, size_t, int>;
 
 class PermutationCrossing : public ::testing::TestWithParam<CrossingParam> {};
 
 TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
-  const auto [upper, config_idx, team_param, storage] = GetParam();
+  const auto [upper, config_idx, team_param] = GetParam();
   const auto& config = kCrossingConfigs[config_idx];
   constexpr index_t kRows = 499;
   constexpr index_t kNrhs = 7;  // tile width 3: two full tiles and a tail
@@ -240,7 +240,7 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
         matrix.multiply(referenceSolution(kRows, 70 + static_cast<int>(c)));
     for (size_t i = 0; i < n; ++i) b[i * r + c] = bc[i];
     for (size_t i = 0; i < n; ++i) b_int[i] = bc[static_cast<size_t>(perm[i])];
-    solver.solvePermuted(b_int, x_int, *ctx, team, policy, storage);
+    solver.solvePermuted(b_int, x_int, *ctx, team, policy);
     for (size_t i = 0; i < n; ++i) {
       want[static_cast<size_t>(perm[i]) * r + c] = x_int[i];
     }
@@ -260,7 +260,7 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
       }
     }
   }
-  solver.solveTiles(b_tiles, x_tiles, layout, *ctx, team, policy, storage);
+  solver.solveTiles(b_tiles, x_tiles, layout, *ctx, team, policy);
   for (index_t t = 0; t < layout.numTiles(); ++t) {
     const auto w = static_cast<size_t>(layout.tileWidth(t));
     const auto c0 = static_cast<size_t>(layout.tileBegin(t));
@@ -280,38 +280,35 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
       bc[i] = b[i * r + c];
       want_col[i] = want[i * r + c];
     }
-    solver.solve(bc, x, *ctx, team, policy, storage);
+    solver.solve(bc, x, *ctx, team, policy);
     EXPECT_EQ(x, want_col) << "solve, column " << c;
     for (size_t i = 0; i < n; ++i) {
       b_int[i] = bc[static_cast<size_t>(perm[i])];
     }
-    solver.solveTiles(b_int, x_int, one_column, *ctx, team, policy, storage);
+    solver.solveTiles(b_int, x_int, one_column, *ctx, team, policy);
     for (size_t i = 0; i < n; ++i) {
       x_one[static_cast<size_t>(perm[i])] = x_int[i];
     }
     EXPECT_EQ(x_one, want_col) << "solveTiles, one column, column " << c;
   }
   std::vector<double> x_multi(n * r), x_tiled(n * r);
-  solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team, policy, storage);
+  solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team, policy);
   EXPECT_EQ(x_multi, want) << "solveMultiRhs";
-  solver.solveMultiRhsTiled(b, x_tiled, kNrhs, *ctx, team, policy, storage);
+  solver.solveMultiRhsTiled(b, x_tiled, kNrhs, *ctx, team, policy);
   EXPECT_EQ(x_tiled, want_tiled) << "solveMultiRhsTiled";
 }
 
 std::string crossingName(const ::testing::TestParamInfo<CrossingParam>& info) {
-  const auto [upper, config_idx, team, storage] = info.param;
+  const auto [upper, config_idx, team] = info.param;
   return std::string(upper ? "Upper" : "Lower") +
          kCrossingConfigs[config_idx].name + "_team" +
-         (team == 0 ? std::string("Full") : std::to_string(team)) +
-         (storage == StorageKind::kSlab ? "_slab" : "_csr");
+         (team == 0 ? std::string("Full") : std::to_string(team));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TrianglesExecutorsTeamsStorages, PermutationCrossing,
+    TrianglesExecutorsTeams, PermutationCrossing,
     ::testing::Combine(::testing::Bool(), ::testing::Range<size_t>(0, 3),
-                       ::testing::Values(1, 3, 0),
-                       ::testing::Values(StorageKind::kSharedCsr,
-                                         StorageKind::kSlab)),
+                       ::testing::Values(1, 3, 0)),
     crossingName);
 
 /// The SolveContext reentrancy contract at the facade level: concurrent

@@ -18,7 +18,7 @@
 /// The tiled multi-RHS contract (exec/tile.hpp): column tiles are
 /// independent n x w sub-problems in exactly the untiled kernels' layout,
 /// so the tiled walk is bitwise indistinguishable from the untiled walk
-/// for every executor kind, storage, team size, and RHS count — including
+/// for every executor kind, team size, and RHS count — including
 /// degenerate single-tile batches and explicit narrow tiles that force
 /// multi-tile execution. Plus the layout/pack/unpack arithmetic, sysfs
 /// cache-geometry detection fallbacks, the STS_TILE_COLS override,
@@ -181,22 +181,17 @@ TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
         const auto solver = TriangularSolver::analyze(lower, opts);
         auto ctx = solver.createContext();
         for (const int team : {1, width}) {
-          for (const auto storage :
-               {StorageKind::kSharedCsr, StorageKind::kSlab}) {
-            for (const index_t nrhs : {1, 3, 8, 17}) {
-              const auto b = makeRhs(n, nrhs);
-              std::vector<double> x_untiled(b.size());
-              std::vector<double> x_tiled(b.size());
-              solver.solveMultiRhs(b, x_untiled, nrhs, *ctx, team,
-                                   solver.options().fold_policy, storage);
-              solver.solveMultiRhsTiled(b, x_tiled, nrhs, *ctx, team,
-                                        solver.options().fold_policy,
-                                        storage);
-              ASSERT_EQ(x_tiled, x_untiled)
-                  << config.name << " tile_cols " << tile_cols << " team "
-                  << team << " storage " << static_cast<int>(storage)
-                  << " nrhs " << nrhs;
-            }
+          for (const index_t nrhs : {1, 3, 8, 17}) {
+            const auto b = makeRhs(n, nrhs);
+            std::vector<double> x_untiled(b.size());
+            std::vector<double> x_tiled(b.size());
+            solver.solveMultiRhs(b, x_untiled, nrhs, *ctx, team,
+                                 solver.options().fold_policy);
+            solver.solveMultiRhsTiled(b, x_tiled, nrhs, *ctx, team,
+                                      solver.options().fold_policy);
+            ASSERT_EQ(x_tiled, x_untiled)
+                << config.name << " tile_cols " << tile_cols << " team "
+                << team << " nrhs " << nrhs;
           }
         }
       }
@@ -235,7 +230,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   std::vector<double> x_tiled(layout.totalDoubles());
   layout.pack(b_perm, b_tiled);
   solver.solveTiles(b_tiled, x_tiled, layout, *ctx, solver.numThreads(),
-                    solver.options().fold_policy, solver.options().storage);
+                    solver.options().fold_policy);
   std::vector<double> x_perm(b.size());
   layout.unpack(x_tiled, x_perm);
   std::vector<double> x(b.size());
@@ -249,8 +244,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   std::vector<double> short_buf(layout.totalDoubles() - 1);
   EXPECT_THROW(solver.solveTiles(short_buf, x_tiled, layout, *ctx,
                                  solver.numThreads(),
-                                 solver.options().fold_policy,
-                                 solver.options().storage),
+                                 solver.options().fold_policy),
                std::invalid_argument);
 }
 
@@ -260,20 +254,16 @@ TEST(TiledSolve, BytesMovedAccountingIsConsistent) {
   SolverOptions opts;
   opts.num_threads = 2;
   const auto solver = TriangularSolver::analyze(lower, opts);
+  // Through the StorageKind forward the benchmark ledger still calls.
   const auto csr = solver.storageBytesMoved(2, core::FoldPolicy::kModulo,
                                             StorageKind::kSharedCsr);
   EXPECT_EQ(csr, exec::csrBytesMoved(lower.rows(), lower.nnz()));
-  const auto slab = solver.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                             StorageKind::kSlab);
-  // Slabs duplicate the row/col data into padded per-thread records:
-  // at least the CSR value+index payload, never less.
-  EXPECT_GE(slab, static_cast<size_t>(lower.nnz()) * sizeof(double));
 }
 
 TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
   // Tiled and untiled solves race on one solver with distinct contexts,
-  // mixing teams and storage: the lazy slab/fold caches and the tiled
-  // scratch buffers must not interfere — TSan covers this in CI.
+  // mixing teams: the lazy fold caches and the tiled scratch buffers must
+  // not interfere — TSan covers this in CI.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
                                                .seed = 41});
   const auto n = static_cast<size_t>(lower.rows());
@@ -289,7 +279,7 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
   {
     auto ctx = solver.createContext();
     solver.solveMultiRhs(b, expected, nrhs, *ctx, solver.numThreads(),
-                         core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
+                         core::FoldPolicy::kModulo);
   }
 
   constexpr int kWorkers = 8;
@@ -299,15 +289,13 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
       auto ctx = solver.createContext();
       std::vector<double> x(b.size());
       const int team = 1 + w % solver.numThreads();
-      const auto storage =
-          w % 3 == 0 ? StorageKind::kSharedCsr : StorageKind::kSlab;
       for (int rep = 0; rep < 3; ++rep) {
         if (w % 2 == 0) {
           solver.solveMultiRhsTiled(b, x, nrhs, *ctx, team,
-                                    core::FoldPolicy::kModulo, storage);
+                                    core::FoldPolicy::kModulo);
         } else {
           solver.solveMultiRhs(b, x, nrhs, *ctx, team,
-                               core::FoldPolicy::kModulo, storage);
+                               core::FoldPolicy::kModulo);
         }
       }
       return x;

@@ -2,7 +2,7 @@
 """Consolidated performance snapshot of the perf-critical benches.
 
 Runs bench_micro_kernels (google-benchmark JSON), bench_fold_policies,
-bench_slab_locality, bench_tiled_multirhs and bench_overload_resilience
+bench_tiled_multirhs and bench_overload_resilience
 (their `JSON: ` payload lines) and writes one consolidated snapshot file
 — by convention `BENCH_<PR>.json` at the repo root — so the perf
 trajectory of the hot paths is versioned alongside the code that produced
@@ -30,8 +30,8 @@ import os
 import subprocess
 import sys
 
-REQUIRED_BENCHES = ["bench_fold_policies", "bench_slab_locality",
-                    "bench_tiled_multirhs", "bench_overload_resilience"]
+REQUIRED_BENCHES = ["bench_fold_policies", "bench_tiled_multirhs",
+                    "bench_overload_resilience"]
 OPTIONAL_BENCHES = ["bench_micro_kernels"]
 
 
@@ -83,7 +83,6 @@ def main():
     if args.reps is not None:
         env["STS_BENCH_REPS"] = str(args.reps)
         env.setdefault("STS_FOLD_REPS", str(args.reps))
-        env.setdefault("STS_SLAB_REPS", str(args.reps))
         env.setdefault("STS_TILED_REPS", str(args.reps))
         # Quick-snapshot mode also trims the open-loop overload phase.
         env.setdefault("STS_OVERLOAD_REQUESTS", "48")
@@ -134,7 +133,7 @@ def main():
 
     # Lift the host fields of the first JSON-line bench to the top level
     # so cross-snapshot tooling need not dig per bench.
-    for key in ("fold_policies", "slab_locality", "tiled_multirhs"):
+    for key in ("fold_policies", "tiled_multirhs"):
         payload = snapshot["benches"].get(key)
         if payload:
             snapshot["host"] = {

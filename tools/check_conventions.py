@@ -338,7 +338,7 @@ sts::fault::FailpointRegistry::global().reset();
 #endif
 """, None),
     ("failpoint macros pass anywhere", "src/exec/fix2.cpp", """
-STS_FAILPOINT("exec.slab_build");
+STS_FAILPOINT("exec.tile_build");
 STS_FAILPOINT_RANK("exec.superstep", t);
 """, None),
     ("fault API inside src/fault/ passes", "src/fault/fix.cpp", """

@@ -2,14 +2,14 @@
 """Roofline accounting for the tiled multi-RHS solve path.
 
 Reads a consolidated snapshot written by tools/bench_snapshot.py
-(`BENCH_<PR>.json`) and reports, per (dataset, storage, nrhs) and per
+(`BENCH_<PR>.json`) and reports, per (dataset, nrhs) and per
 individual bench row, the achieved-vs-roofline fraction of the tiled
 solve: measured time versus the model lower bound
 
     t_bound = max(flops / peak_flops, bytes_moved / peak_bandwidth)
 
 where flops and bytes_moved come from the bench_tiled_multirhs rows (the
-executors' bytesMoved() byte accounting: storage stream once per tile
+CSR byte accounting, csrBytesMoved(): the matrix stream once per tile
 plus one RHS/solution round trip) and the peaks come from
 
   * bench_micro_kernels when the snapshot embeds it: peak_flops is twice
@@ -21,7 +21,7 @@ plus one RHS/solution round trip) and the peaks come from
     against the snapshot's own streaming ceiling.
 
 Fractions above 100% mean the solve beat the byte model's bound. That is
-*explained* when the row's working set (storage bytes + both RHS/solution
+*explained* when the row's working set (matrix bytes + both RHS/solution
 buffers) fits in the detected L3 — the model charges DRAM-stream bytes
 the cache never moved — and the row is annotated `cache-resident`
 instead of failing. Unexplained >100% rows fail the run: the byte
@@ -41,7 +41,7 @@ import math
 import sys
 
 ROW_FIELDS = (
-    "dataset", "matrix", "executor", "storage", "team", "nrhs",
+    "dataset", "matrix", "executor", "team", "nrhs",
     "tile_cols", "num_tiles", "rows", "nnz",
     "untiled_seconds", "tiled_seconds", "tiled_speedup",
     "bytes_moved", "flops",
@@ -98,15 +98,15 @@ def micro_peak_flops(snapshot):
 
 
 def working_set_bytes(row):
-    """Bytes the row's solve actually touches once: the storage stream
+    """Bytes the row's solve actually touches once: the matrix stream
     plus both the packed RHS and solution buffers."""
     n, nnz, nrhs = row["rows"], row["nnz"], row["nrhs"]
     num_tiles = max(1, row["num_tiles"])
     vector_bytes = 2 * n * nrhs * SIZEOF_DOUBLE
-    # bytes_moved = storage_stream * num_tiles + vector round trip; the
+    # bytes_moved = matrix_stream * num_tiles + vector round trip; the
     # resident set holds the stream once.
-    storage_bytes = (row["bytes_moved"] - vector_bytes) // num_tiles
-    return storage_bytes + vector_bytes
+    matrix_bytes = (row["bytes_moved"] - vector_bytes) // num_tiles
+    return matrix_bytes + vector_bytes
 
 
 def geomean(values):
@@ -121,7 +121,7 @@ def main():
     parser.add_argument("snapshot", help="BENCH_<PR>.json snapshot")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-row lines; print only the "
-                             "(dataset, storage, nrhs) summary and verdict")
+                             "(dataset, nrhs) summary and verdict")
     args = parser.parse_args()
 
     try:
@@ -166,17 +166,17 @@ def main():
                 unexplained.append(row)
         if not args.quiet:
             print(f"  {row['matrix']:<16} {row['executor']:<10} "
-                  f"{row['storage']:<10} team {row['team']:>2} "
+                  f"team {row['team']:>2} "
                   f"nrhs {row['nrhs']:>3}: {100 * fraction:6.1f}% of "
                   f"roofline ({row['flops'] / t / 1e9:6.2f} GFLOP/s, "
                   f"{row['bytes_moved'] / t / 1e9:6.2f} GB/s)"
                   f"{note}")
-        key = (row["dataset"], row["storage"], row["nrhs"])
+        key = (row["dataset"], row["nrhs"])
         groups.setdefault(key, []).append(fraction)
 
-    print("\nachieved-vs-roofline by (dataset, storage, nrhs):")
-    for (dataset, storage, nrhs), fractions in sorted(groups.items()):
-        print(f"  {dataset:<20} {storage:<10} nrhs {nrhs:>3}: "
+    print("\nachieved-vs-roofline by (dataset, nrhs):")
+    for (dataset, nrhs), fractions in sorted(groups.items()):
+        print(f"  {dataset:<20} nrhs {nrhs:>3}: "
               f"geomean {100 * geomean(fractions):6.1f}%  "
               f"best {100 * max(fractions):6.1f}%  "
               f"({len(fractions)} rows)")
