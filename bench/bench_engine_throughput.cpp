@@ -1,7 +1,7 @@
 /// Serving throughput: batched multi-RHS submission through the
 /// engine::SolverEngine vs. the classic sequential single-RHS solve loop on
 /// the same analyzed solver. The engine coalesces a staged backlog of
-/// single-RHS requests into solveMultiRhs batches, so every superstep
+/// single-RHS requests into tiled multi-RHS batches, so every superstep
 /// barrier is paid once per batch instead of once per request — the Table
 /// 7.7 block-parallel amortization applied to request serving. Runs on the
 /// §6.2 stand-in datasets. The "pinned" columns repeat the batched pass

@@ -152,30 +152,9 @@ void BM_P2pSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_P2pSolve);
 
-/// Scalar multi-RHS row kernel (computeRowMulti: the shared-CSR walk's
-/// column loop, variable width) over every row serially; Arg = nrhs.
-void BM_MultiRhsKernelScalar(benchmark::State& state) {
-  const auto& lower = benchMatrix();
-  const auto r = static_cast<size_t>(state.range(0));
-  const auto n = static_cast<size_t>(lower.rows());
-  const std::vector<double> b(n * r, 1.0);
-  std::vector<double> x(b.size(), 0.0);
-  for (auto _ : state) {
-    for (index_t i = 0; i < lower.rows(); ++i) {
-      exec::detail::computeRowMulti(lower.rowPtr(), lower.colIdx(),
-                                    lower.values(), b, x, i,
-                                    static_cast<index_t>(r));
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * lower.nnz() *
-                          static_cast<int64_t>(r));
-}
-BENCHMARK(BM_MultiRhsKernelScalar)->Arg(4)->Arg(8);
-
 /// Column-blocked multi-RHS row kernel (computeRowMultiPacked: fixed
-/// 8/4-wide register blocks + tail — the tiled walk's kernel) on the SAME
-/// CSR memory, isolating the kernel effect from the walk.
+/// 8/4-wide register blocks + tail — the tiled walk's kernel) over every
+/// row serially, isolating the kernel from the walk; Arg = nrhs.
 void BM_MultiRhsKernelBlocked(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto r = static_cast<size_t>(state.range(0));
@@ -202,7 +181,8 @@ void BM_MultiRhsKernelBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiRhsKernelBlocked)->Arg(4)->Arg(8);
 
-/// The full multi-RHS solve on one executor; Arg = nrhs.
+/// The full multi-RHS solve on one executor, the row-major n x nrhs block
+/// as one tile; Arg = nrhs.
 void BM_BspSolveMultiShared(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto schedule = core::growLocalSchedule(benchDag(), {.num_cores = 2});
@@ -212,9 +192,10 @@ void BM_BspSolveMultiShared(benchmark::State& state) {
   const std::vector<double> b(
       static_cast<size_t>(lower.rows()) * static_cast<size_t>(r), 1.0);
   std::vector<double> x(b.size(), 0.0);
+  const exec::TileLayout layout(lower.rows(), r, r);
   for (auto _ : state) {
-    executor.solveMultiRhs(b, x, r, *ctx, executor.numThreads(),
-                           core::FoldPolicy::kModulo);
+    executor.solveMultiRhsTiled(b, x, layout, *ctx, executor.numThreads(),
+                                core::FoldPolicy::kModulo);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz() *

@@ -660,8 +660,8 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       std::vector<double> x(request.b.size());
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        solver.solveMultiRhsTiled(request.b, x, request.nrhs, lease.context(),
-                                  team, fold_policy);
+        solver.solveMultiRhs(request.b, x, request.nrhs, lease.context(),
+                             team, fold_policy);
       }
       request.b = std::move(x);
     }

@@ -79,7 +79,7 @@
 ///    bitwise-deterministic solution of T x = b. Single-RHS batches, k = 1
 ///    included, run packTiles → solveTiles → unpackTiles through the
 ///    leased context's pooled staging tiles; a lone multi-RHS request runs
-///    solveMultiRhsTiled.
+///    solveMultiRhs, which tiles it too.
 ///  * Per-solver throughput/latency statistics aggregate via the
 ///    harness::stats quantile helpers (SolverServingStats).
 ///  * Request lifecycle (docs/ROBUSTNESS.md): SubmitOptions attach a

@@ -263,7 +263,7 @@ struct SolverServingStats {
   /// Multi-RHS batches, all run on the solver's column tiles: a
   /// coalesced batch of k > 1 requests (packed into pooled staging tiles
   /// and solved via solveTiles) or a lone submitMulti request
-  /// (solveMultiRhsTiled). Single-column batches do not count.
+  /// (solveMultiRhs). Single-column batches do not count.
   std::uint64_t tiled_batches = 0;
   /// Summed wall time spent packing request vectors into the staging tiles
   /// of every single-RHS batch (k = 1 included) before the solve, per

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <numeric>
 #include <stdexcept>
 
 #include "exec/affinity.hpp"
@@ -12,9 +13,163 @@
 
 namespace sts::exec {
 
-using detail::computeRow;
-using detail::computeRowMulti;
+namespace detail {
+
+/// The superstep walker, the one parallel region of both BSP executors
+/// (§2.2's execution model): for s = 0 .. steps - 1, member t runs
+/// step(t, s), its rows of superstep s, and then the team crosses the
+/// context's barrier. Row sources and RHS shapes differ only in `step`.
+///
+/// Every `step` below captures the kernel's spans by value ([=, &rows]).
+/// With [&] captures their addresses stay live across the row loop, and
+/// GCC 12 then reloads col_idx's base from the stack on every nonzero of
+/// the contiguous vector walk (seen in objdump); a prototype built that
+/// way measured paper_sweep's solve time about 6% higher. Captured by
+/// value, the nnz loop compiles to the same instructions as a region
+/// written out by hand.
+template <typename Step>
+void superstepRegion(SolveContext& ctx, int team, index_t steps, Step step) {
+  const std::span<const int> pin_set = ctx.pinnedCores();
+  SpinBarrier& barrier = ctx.barrier_;
+  omp_set_dynamic(0);
+#pragma omp parallel num_threads(team)
+  {
+    const int t = omp_get_thread_num();
+    {
+      const ScopedPin pin(pin_set, t);
+      ctx.notePin(pin);
+      obs::StepTracer tracer(ctx.trace());
+      int sense = barrier.initialSense();
+      for (index_t s = 0; s < steps; ++s) {
+        step(t, s);
+        tracer.computeDone(static_cast<std::uint64_t>(s));
+        if (team > 1) {
+          barrier.wait(sense, team);
+          tracer.waitDone(static_cast<std::uint64_t>(s));
+        }
+      }
+    }
+    if (t != 0) ctx.memberDone();
+  }
+  ctx.acquireMembers();
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::FoldedLists;
+using detail::FoldedRanges;
 using detail::requireVectorSizes;
+
+/// Row source of BspExecutor: member t's superstep-s vertices, in order.
+template <typename RowFn>
+void forEachRow(const FoldedLists& plan, int t, index_t s, RowFn row) {
+  const auto& verts = plan.verts[static_cast<size_t>(t)];
+  const auto& ptr = plan.step_ptr[static_cast<size_t>(t)];
+  const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
+  for (auto k = static_cast<size_t>(ptr[static_cast<size_t>(s)]); k < end;
+       ++k) {
+    row(verts[k]);
+  }
+}
+
+/// Row source of ContiguousBspExecutor: member t's superstep-s row runs.
+template <typename RowFn>
+void forEachRow(const FoldedRanges& plan, int t, index_t s, RowFn row) {
+  const size_t g = static_cast<size_t>(s) * static_cast<size_t>(plan.team) +
+                   static_cast<size_t>(t);
+  const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
+  for (auto k = static_cast<size_t>(plan.range_ptr[g]); k < end; ++k) {
+    const auto [lo, hi] = plan.ranges[k];
+    for (index_t i = lo; i < hi; ++i) row(i);
+  }
+}
+
+/// The vector shape: x = L^{-1} b, one computeRow per row.
+template <typename Rows>
+void walkVector(const CsrMatrix& lower, const Rows& rows,
+                std::span<const double> b, std::span<double> x,
+                SolveContext& ctx, int team, index_t steps) {
+  const auto row_ptr = lower.rowPtr();
+  const auto col_idx = lower.colIdx();
+  const auto values = lower.values();
+  detail::superstepRegion(ctx, team, steps, [=, &rows](int t, index_t s) {
+    forEachRow(rows, t, s, [=](index_t i) {
+      detail::computeRow(row_ptr, col_idx, values, b, x, i);
+    });
+    // Superstep latency-spike failpoint (delay actions only: a throw
+    // escaping the omp region would terminate). A rank-filtered delay
+    // here models a straggler thread stretching every barrier. It stays
+    // out of the tile shape, so an armed delay never reaches coalesced
+    // engine batches.
+    STS_FAILPOINT_RANK("exec.superstep", t);
+  });
+}
+
+/// The tile shape: per superstep, every tile of `tiles` in turn through
+/// the register-blocked computeRowMultiTiled.
+template <typename Rows>
+void walkTiles(const CsrMatrix& lower, const Rows& rows,
+               const TileViews& tiles, SolveContext& ctx, int team,
+               index_t steps) {
+  const auto row_ptr = lower.rowPtr();
+  const auto col_idx = lower.colIdx();
+  const auto values = lower.values();
+  detail::superstepRegion(
+      ctx, team, steps, [=, &rows, &tiles](int t, index_t s) {
+        for (std::size_t k = 0; k < tiles.width.size(); ++k) {
+          const auto bt = tiles.b[k];
+          const auto xt = tiles.x[k];
+          const auto w = tiles.width[k];
+          forEachRow(rows, t, s, [=](index_t i) {
+            detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt,
+                                         i, w);
+          });
+        }
+      });
+}
+
+/// The (superstep, rank) row groups of `group_ptr` on `team` members:
+/// member q's superstep-s runs concatenate the groups of every rank p with
+/// rank_map[p] == q in ascending p, merging adjacent runs.
+FoldedRanges foldRanges(std::span<const offset_t> group_ptr, index_t steps,
+                        int width, int team, std::span<const int> rank_map) {
+  // Inverted map: ranks of slot q in ascending order, so each superstep
+  // is walked O(width) overall rather than O(team * width).
+  std::vector<std::vector<int>> slot_ranks(static_cast<size_t>(team));
+  for (int p = 0; p < width; ++p) {
+    slot_ranks[static_cast<size_t>(rank_map[static_cast<size_t>(p)])]
+        .push_back(p);
+  }
+  FoldedRanges plan;
+  plan.team = team;
+  plan.range_ptr.reserve(static_cast<size_t>(steps) *
+                             static_cast<size_t>(team) + 1);
+  plan.range_ptr.push_back(0);
+  for (index_t s = 0; s < steps; ++s) {
+    for (int q = 0; q < team; ++q) {
+      for (const int p : slot_ranks[static_cast<size_t>(q)]) {
+        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(width) +
+                         static_cast<size_t>(p);
+        const auto lo = static_cast<index_t>(group_ptr[g]);
+        const auto hi = static_cast<index_t>(group_ptr[g + 1]);
+        if (lo == hi) continue;
+        if (plan.range_ptr.back() !=
+                static_cast<offset_t>(plan.ranges.size()) &&
+            plan.ranges.back().second == lo) {
+          plan.ranges.back().second = hi;  // merge adjacent runs
+        } else {
+          plan.ranges.emplace_back(lo, hi);
+        }
+      }
+      plan.range_ptr.push_back(static_cast<offset_t>(plan.ranges.size()));
+    }
+  }
+  return plan;
+}
+
+}  // namespace
 
 BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
     : lower_(lower),
@@ -42,8 +197,8 @@ BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
   folded_.init(num_threads_, &full_);
 }
 
-const detail::FoldedLists& BspExecutor::foldedPlan(
-    int team, core::FoldPolicy policy) const {
+const FoldedLists& BspExecutor::foldedPlan(int team,
+                                           core::FoldPolicy policy) const {
   return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
@@ -56,45 +211,11 @@ const detail::FoldedLists& BspExecutor::foldedPlan(
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
                         SolveContext& ctx, int team,
                         core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "BspExecutor::solve");
+  requireVectorSizes(lower_, b, x, "BspExecutor::solve");
   detail::requireTeamSize(team, num_threads_, "BspExecutor::solve");
   ctx.requireShape(team, lower_.rows(), "BspExecutor::solve");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        computeRow(row_ptr, col_idx, values, b, x, verts[k]);
-      }
-      // Superstep latency-spike failpoint (delay actions only: a throw
-      // escaping this omp region would terminate). A rank-filtered delay
-      // here models a straggler thread stretching every barrier.
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
+  walkVector(lower_, foldedPlan(team, policy), b, x, ctx, team,
+             num_supersteps_);
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
@@ -111,48 +232,6 @@ void BspExecutor::solve(std::span<const double> b, std::span<double> x) const {
   solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
 }
 
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
-                                core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs, "BspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhs");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const auto r = static_cast<size_t>(nrhs);
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        computeRowMulti(row_ptr, col_idx, values, b, x, verts[k], r);
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
 void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
@@ -163,64 +242,8 @@ void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
   detail::requireTeamSize(team, num_threads_,
                           "BspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const TileViews tiles = makeTileViews(layout, b, x);
-  const std::size_t ntiles = tiles.width.size();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (std::size_t tk = 0; tk < ntiles; ++tk) {
-        const auto bt = tiles.b[tk];
-        const auto xt = tiles.x[tk];
-        const auto w = tiles.width[tk];
-        for (size_t k = begin; k < end; ++k) {
-          detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt,
-                                       verts[k], w);
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team) const {
-  solveMultiRhs(b, x, nrhs, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, default_ctx_, num_threads_,
-                core::FoldPolicy::kModulo);
+  walkTiles(lower_, foldedPlan(team, policy), makeTileViews(layout, b, x),
+            ctx, team, num_supersteps_);
 }
 
 ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
@@ -248,123 +271,31 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
     const auto hi = static_cast<size_t>(group_ptr_[g + 1]);
     rank_loads_[g] = static_cast<core::weight_t>(row_ptr[hi] - row_ptr[lo]);
   }
-  folded_.init(num_threads_);
+  std::vector<int> identity(static_cast<size_t>(num_threads_));
+  std::iota(identity.begin(), identity.end(), 0);
+  full_ = foldRanges(group_ptr_, num_supersteps_, num_threads_, num_threads_,
+                     identity);
+  folded_.init(num_threads_, &full_);
 }
 
-const ContiguousBspExecutor::FoldedRanges&
-ContiguousBspExecutor::foldedPlan(int team, core::FoldPolicy policy) const {
-  return folded_.get(team, policy, [this](int t, core::FoldPolicy pol) {
+const FoldedRanges& ContiguousBspExecutor::foldedPlan(
+    int team, core::FoldPolicy policy) const {
+  return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
-        core::foldRankMap(num_supersteps_, num_threads_, t, pol, rank_loads_);
-    // Inverted map: ranks of slot q in ascending order, so each superstep
-    // is walked O(numThreads()) overall rather than O(t * numThreads()).
-    std::vector<std::vector<int>> slot_ranks(static_cast<size_t>(t));
-    for (int p = 0; p < num_threads_; ++p) {
-      slot_ranks[static_cast<size_t>(map[static_cast<size_t>(p)])]
-          .push_back(p);
-    }
-    FoldedRanges plan;
-    plan.range_ptr.reserve(static_cast<size_t>(num_supersteps_) *
-                               static_cast<size_t>(t) + 1);
-    plan.range_ptr.push_back(0);
-    for (index_t s = 0; s < num_supersteps_; ++s) {
-      for (int q = 0; q < t; ++q) {
-        for (const int p : slot_ranks[static_cast<size_t>(q)]) {
-          const size_t g = static_cast<size_t>(s) *
-                               static_cast<size_t>(num_threads_) +
-                           static_cast<size_t>(p);
-          const auto lo = static_cast<index_t>(group_ptr_[g]);
-          const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-          if (lo == hi) continue;
-          if (!plan.ranges.empty() &&
-              plan.range_ptr.back() !=
-                  static_cast<offset_t>(plan.ranges.size()) &&
-              plan.ranges.back().second == lo) {
-            plan.ranges.back().second = hi;  // merge adjacent runs
-          } else {
-            plan.ranges.emplace_back(lo, hi);
-          }
-        }
-        plan.range_ptr.push_back(static_cast<offset_t>(plan.ranges.size()));
-      }
-    }
-    return plan;
+        core::foldRankMap(num_supersteps_, num_threads_, t, p, rank_loads_);
+    return foldRanges(group_ptr_, num_supersteps_, num_threads_, t, map);
   });
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
                                   std::span<double> x, SolveContext& ctx,
                                   int team, core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "ContiguousBspExecutor::solve");
+  requireVectorSizes(lower_, b, x, "ContiguousBspExecutor::solve");
   detail::requireTeamSize(team, num_threads_, "ContiguousBspExecutor::solve");
   ctx.requireShape(team, lower_.rows(), "ContiguousBspExecutor::solve");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (index_t i = lo; i < hi; ++i) {
-          computeRow(row_ptr, col_idx, values, b, x, i);
-        }
-        // Superstep latency-spike failpoint (delay actions only; a throw
-        // escaping this omp region would terminate the process).
-        STS_FAILPOINT_RANK("exec.superstep", t);
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const auto [lo, hi] = plan.ranges[k];
-        for (index_t i = lo; i < hi; ++i) {
-          computeRow(row_ptr, col_idx, values, b, x, i);
-        }
-      }
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
+  walkVector(lower_, foldedPlan(team, policy), b, x, ctx, team,
+             num_supersteps_);
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
@@ -384,81 +315,6 @@ void ContiguousBspExecutor::solve(std::span<const double> b,
   solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
 }
 
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team,
-                                          core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs,
-                     "ContiguousBspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhs");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const auto r = static_cast<size_t>(nrhs);
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (index_t i = lo; i < hi; ++i) {
-          computeRowMulti(row_ptr, col_idx, values, b, x, i, r);
-        }
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const auto [lo, hi] = plan.ranges[k];
-        for (index_t i = lo; i < hi; ++i) {
-          computeRowMulti(row_ptr, col_idx, values, b, x, i, r);
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
 void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                                std::span<double> x,
                                                const TileLayout& layout,
@@ -470,101 +326,8 @@ void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
                           "ContiguousBspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(),
                    "ContiguousBspExecutor::solveMultiRhsTiled");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const TileViews tiles = makeTileViews(layout, b, x);
-  const std::size_t ntiles = tiles.width.size();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (std::size_t tk = 0; tk < ntiles; ++tk) {
-          const auto bt = tiles.b[tk];
-          const auto xt = tiles.x[tk];
-          const auto w = tiles.width[tk];
-          for (index_t i = lo; i < hi; ++i) {
-            detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt, i,
-                                         w);
-          }
-        }
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (std::size_t tk = 0; tk < ntiles; ++tk) {
-        const auto bt = tiles.b[tk];
-        const auto xt = tiles.x[tk];
-        const auto w = tiles.width[tk];
-        for (size_t k = begin; k < end; ++k) {
-          const auto [lo, hi] = plan.ranges[k];
-          for (index_t i = lo; i < hi; ++i) {
-            detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt, i,
-                                         w);
-          }
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team) const {
-  solveMultiRhs(b, x, nrhs, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x,
-                                          index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, default_ctx_, num_threads_,
-                core::FoldPolicy::kModulo);
+  walkTiles(lower_, foldedPlan(team, policy), makeTileViews(layout, b, x),
+            ctx, team, num_supersteps_);
 }
 
 }  // namespace sts::exec

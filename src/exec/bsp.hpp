@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -11,10 +12,13 @@
 #include "sparse/csr.hpp"
 
 /// \file bsp.hpp
-/// Barrier-synchronous SpTRSV executor: runs a validated Schedule with one
+/// Barrier-synchronous SpTRSV executors: run a validated Schedule with one
 /// spin barrier per superstep boundary (the execution model of §2.2).
-/// The per-thread work lists are precomputed at construction so that the
-/// hot solve path touches only flat arrays.
+/// Both executors run one superstep walker (bsp.cpp) and differ only in
+/// where a member's rows come from: vertex lists (BspExecutor) or, after
+/// the §5 reordering, row ranges (ContiguousBspExecutor). The work lists
+/// are precomputed at construction so that the hot solve path touches
+/// only flat arrays.
 ///
 /// Reentrancy contract (see solve_context.hpp): executors are immutable
 /// after construction; the only per-solve mutable state is the superstep
@@ -38,6 +42,19 @@ using sparse::CsrMatrix;
 using sts::index_t;
 using sts::offset_t;
 
+namespace detail {
+
+/// The row-range image of FoldedLists: member q's superstep-s rows are the
+/// runs ranges[range_ptr[s * team + q] .. range_ptr[s * team + q + 1]),
+/// each a [lo, hi) row range.
+struct FoldedRanges {
+  int team = 0;
+  std::vector<offset_t> range_ptr;
+  std::vector<std::pair<index_t, index_t>> ranges;
+};
+
+}  // namespace detail
+
 class BspExecutor {
  public:
   /// `lower` must satisfy requireSolvableLower; `schedule` must be a valid
@@ -60,25 +77,12 @@ class BspExecutor {
   /// Convenience overload on the built-in context (one solve at a time).
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM: X = L^{-1} B, both n x nrhs row-major. The schedule is
-  /// RHS-count agnostic — each vertex simply carries nrhs times the work,
-  /// so the barrier cost is amortized across the nrhs solves.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
-  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp).
-  /// One parallel region runs the per-superstep row loop once per tile —
-  /// still one barrier per superstep regardless of tile count, and the CSR
-  /// walk gains the register-blocked kernel (computeRowMultiTiled). Column
-  /// tileBegin(t) + c of the unpacked result is bitwise equal to
-  /// solveMultiRhs's column.
+  /// Tiled SpTRSM: X = L^{-1} B with B and X packed as `layout` column
+  /// tiles (tile.hpp); a one-tile TileLayout(n, nrhs, nrhs) is the
+  /// row-major n x nrhs block. The tile loop runs inside each superstep —
+  /// one barrier per superstep regardless of tile count — through the
+  /// register-blocked computeRowMultiTiled. Column tileBegin(t) + c of the
+  /// unpacked result is bitwise equal to solve() on that column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
                           int team, core::FoldPolicy policy) const;
@@ -114,7 +118,7 @@ class BspExecutor {
 /// Executor for the reordered problem (§5): every (superstep, core) group
 /// is a contiguous row range of the permuted matrix, so the work lists are
 /// just range boundaries — the best-locality configuration. Same
-/// reentrancy contract as BspExecutor.
+/// reentrancy contract and solve overloads as BspExecutor.
 class ContiguousBspExecutor {
  public:
   ContiguousBspExecutor(const CsrMatrix& permuted_lower,
@@ -132,21 +136,8 @@ class ContiguousBspExecutor {
              SolveContext& ctx) const;
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM over the contiguous row ranges: X = L^{-1} B, n x nrhs
-  /// row-major, one barrier per superstep regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
-  /// Tiled SpTRSM over the contiguous row ranges: same contract as
-  /// BspExecutor::solveMultiRhsTiled (one barrier per superstep, tile loop
-  /// inside, bitwise per column).
+  /// Tiled SpTRSM over the row ranges: same contract as
+  /// BspExecutor::solveMultiRhsTiled.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
                           int team, core::FoldPolicy policy) const;
@@ -159,18 +150,14 @@ class ContiguousBspExecutor {
   index_t numSupersteps() const { return num_supersteps_; }
 
  private:
-  /// Folded plan for team < numThreads(): folded thread q's superstep-s
-  /// work is a short list of contiguous row runs (one per surviving
-  /// original rank, adjacent runs merged). Must implement the same rank
-  /// map and concatenation order as Schedule::foldWith / foldThreadLists —
-  /// test_elastic pins the implementations to each other.
-  struct FoldedRanges {
-    /// Runs of group (s, q) are ranges[range_ptr[s * team + q] ..
-    /// range_ptr[s * team + q + 1]).
-    std::vector<offset_t> range_ptr;
-    std::vector<std::pair<index_t, index_t>> ranges;  ///< [lo, hi) rows
-  };
-  const FoldedRanges& foldedPlan(int team, core::FoldPolicy policy) const;
+  /// The row ranges for (team, policy): folded member q's superstep-s work
+  /// is a short list of contiguous row runs (one per surviving original
+  /// rank, adjacent runs merged). Must implement the same rank map and
+  /// concatenation order as Schedule::foldWith / foldThreadLists —
+  /// test_elastic pins the implementations to each other. team ==
+  /// numThreads() shares the unfolded `full_` ranges across policies.
+  const detail::FoldedRanges& foldedPlan(int team,
+                                         core::FoldPolicy policy) const;
 
   const CsrMatrix& lower_;
   index_t num_supersteps_ = 0;
@@ -179,7 +166,9 @@ class ContiguousBspExecutor {
   /// Per-(superstep, rank) nnz loads of the row ranges (superstep-major);
   /// feeds the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
-  detail::TeamPlanCache<FoldedRanges> folded_;
+  /// The full-width ranges, one run per non-empty group.
+  detail::FoldedRanges full_;
+  detail::TeamPlanCache<detail::FoldedRanges> folded_;
   mutable SolveContext default_ctx_;
 };
 

@@ -44,25 +44,33 @@ void gatherRows(std::span<const index_t> map, std::span<const RowBlock> blocks,
 #pragma omp parallel num_threads(team)
   {
     const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    obs::StepTracer tracer(ctx.trace());
-    const auto members = static_cast<std::size_t>(omp_get_num_threads());
-    const auto rank = static_cast<std::size_t>(t);
-    const std::size_t end = n * (rank + 1) / members;
-    for (std::size_t c0 = n * rank / members; c0 < end; c0 += kChunkRows) {
-      const std::size_t c1 = std::min(end, c0 + kChunkRows);
-      for (const RowBlock& block : blocks) copyRows(map, block, c0, c1);
+    {
+      const ScopedPin pin(pin_set, t);
+      obs::StepTracer tracer(ctx.trace());
+      const auto members = static_cast<std::size_t>(omp_get_num_threads());
+      const auto rank = static_cast<std::size_t>(t);
+      const std::size_t end = n * (rank + 1) / members;
+      for (std::size_t c0 = n * rank / members; c0 < end; c0 += kChunkRows) {
+        const std::size_t c1 = std::min(end, c0 + kChunkRows);
+        for (const RowBlock& block : blocks) copyRows(map, block, c0, c1);
+      }
+      tracer.finishP2p(0);
+      // End on a crossing of the context's barrier, so the members reach
+      // libgomp's join together. Once a process runs more OpenMP threads
+      // than cores (an engine's worker teams), libgomp shortens its join
+      // spin, and a member that arrives early sleeps and must be woken:
+      // without this crossing, serve_closed's facade.permute_ms rose from
+      // about 0.09 to 0.14 ms on a 4-vCPU host.
+      if (members > 1) {
+        int sense = barrier.initialSense();
+        barrier.wait(sense, static_cast<int>(members));
+      }
     }
-    tracer.finishP2p(0);
-    // The caller reads the destinations after the region. libgomp's join
-    // orders those reads but is invisible to ThreadSanitizer; ending on a
-    // SpinBarrier crossing orders them through atomics it sees, as the
-    // executors' last superstep does.
-    if (members > 1) {
-      int sense = barrier.initialSense();
-      barrier.wait(sense, static_cast<int>(members));
-    }
+    // The caller reads the destinations after the region: count this
+    // member out so ThreadSanitizer sees that order too.
+    if (t != 0) ctx.memberDone();
   }
+  ctx.acquireMembers();
 }
 
 }  // namespace sts::exec

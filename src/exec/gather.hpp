@@ -18,9 +18,9 @@ namespace sts::exec {
 /// One operand of a gather. Destination row i, the `width` doubles at
 /// dst + i * dst_stride, receives source row map[i], the `width` doubles
 /// at src + map[i] * src_stride. (src_stride, dst_stride, width) expresses
-/// every layout that crosses the internal order: vectors (1, 1, 1),
-/// row-major n x r blocks (r, r, r), column tiles (r, w, w) and single
-/// tile columns (1, w, 1), plus the reverse of each for the x side.
+/// every layout that crosses the internal order: vectors (1, 1, 1), the
+/// column tiles of a row-major n x r block (r, w, w) and single tile
+/// columns (1, w, 1), plus the reverse of each for the x side.
 struct RowBlock {
   const double* src = nullptr;
   std::size_t src_stride = 1;

@@ -22,8 +22,9 @@ namespace {
 /// with worker writes. Each thread's final completion-flag store is a
 /// release covering all of its x writes; acquiring those flags here — they
 /// are already set, so the loops do not spin — rebuilds the same edge in
-/// TSan's model. The BSP paths need no equivalent: their last superstep
-/// ends on SpinBarrier, whose atomics TSan sees.
+/// TSan's model. The superstep walker and gatherRows, which have no such
+/// flags, count their members out on the context instead
+/// (SolveContext::memberDone).
 void acquireTeamWrites(const detail::FoldedLists& plan,
                        const std::atomic<std::uint32_t>* done,
                        std::uint32_t epoch) {
@@ -100,16 +101,9 @@ const detail::FoldedLists& P2pExecutor::foldedPlan(
   });
 }
 
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const {
-  detail::requireVectorSizes(lower_, b, x, 1, "P2pExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "P2pExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "P2pExecutor::solve");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
+template <typename RowFn>
+void P2pExecutor::pass(const detail::FoldedLists& plan, SolveContext& ctx,
+                       int team, RowFn row) const {
   const std::uint32_t epoch = ctx.beginP2pEpoch();
   const std::span<const int> pin_set = ctx.pinnedCores();
   std::atomic<std::uint32_t>* const done = ctx.done_.get();
@@ -123,8 +117,7 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
     const ScopedPin pin(pin_set, static_cast<int>(t));
     ctx.notePin(pin);
     obs::StepTracer tracer(ctx.trace());
-    const auto& verts = plan.verts[t];
-    for (const index_t i : verts) {
+    for (const index_t i : plan.verts[t]) {
       // Wait for cross-thread dependencies (sparsified by the reduction).
       // Under a folded team some of these sources live on this very
       // thread, earlier in the list — their flags are already set.
@@ -139,12 +132,28 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
           tracer.spinEnd(static_cast<std::uint64_t>(i));
         }
       }
-      detail::computeRow(row_ptr, col_idx, values, b, x, i);
+      row(i);
       done[static_cast<size_t>(i)].store(epoch, std::memory_order_release);
     }
     tracer.finishP2p(static_cast<std::uint64_t>(num_supersteps_));
   }
   acquireTeamWrites(plan, done, epoch);
+}
+
+void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
+                        SolveContext& ctx, int team,
+                        core::FoldPolicy policy) const {
+  detail::requireVectorSizes(lower_, b, x, "P2pExecutor::solve");
+  detail::requireTeamSize(team, num_threads_, "P2pExecutor::solve");
+  ctx.requireShape(team, lower_.rows(), "P2pExecutor::solve");
+  const auto row_ptr = lower_.rowPtr();
+  const auto col_idx = lower_.colIdx();
+  const auto values = lower_.values();
+  // The kernel's spans are captured by value, as in the BSP walker
+  // (bsp.cpp), so the nnz loop keeps them in registers.
+  pass(foldedPlan(team, policy), ctx, team, [=](index_t i) {
+    detail::computeRow(row_ptr, col_idx, values, b, x, i);
+  });
 }
 
 void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
@@ -161,52 +170,6 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x) const {
   solve(b, x, default_ctx_, num_threads_);
 }
 
-void P2pExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
-                                core::FoldPolicy policy) const {
-  detail::requireVectorSizes(lower_, b, x, nrhs, "P2pExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "P2pExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "P2pExecutor::solveMultiRhs");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const auto r = static_cast<size_t>(nrhs);
-  const std::uint32_t epoch = ctx.beginP2pEpoch();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  std::atomic<std::uint32_t>* const done = ctx.done_.get();
-
-  // A dynamically shrunk team would strand the spin-waits on vertices of
-  // the missing threads; pin the team size like the BSP paths do.
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    const auto& verts = plan.verts[t];
-    for (const index_t i : verts) {
-      for (offset_t k = wait_ptr_[static_cast<size_t>(i)];
-           k < wait_ptr_[static_cast<size_t>(i) + 1]; ++k) {
-        const auto u = static_cast<size_t>(wait_adj_[static_cast<size_t>(k)]);
-        if (done[u].load(std::memory_order_acquire) != epoch) {
-          tracer.spinBegin();
-          spinUntil([&] {
-            return done[u].load(std::memory_order_acquire) == epoch;
-          });
-          tracer.spinEnd(static_cast<std::uint64_t>(i));
-        }
-      }
-      detail::computeRowMulti(row_ptr, col_idx, values, b, x, i, r);
-      done[static_cast<size_t>(i)].store(epoch, std::memory_order_release);
-    }
-    tracer.finishP2p(static_cast<std::uint64_t>(num_supersteps_));
-  }
-  acquireTeamWrites(plan, done, epoch);
-}
-
 void P2pExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
@@ -217,76 +180,21 @@ void P2pExecutor::solveMultiRhsTiled(std::span<const double> b,
   detail::requireTeamSize(team, num_threads_,
                           "P2pExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(), "P2pExecutor::solveMultiRhsTiled");
-  // One full pass per tile, each under its own epoch: the flags cannot
-  // track partial-tile completion, and re-resolving the (sparsified)
-  // dependency structure per tile is the price of the cache-resident tile.
-  const index_t ntiles = layout.numTiles();
-  for (index_t t = 0; t < ntiles; ++t) {
-    const auto bt = layout.tileSpan(b, t);
-    const auto xt = layout.tileSpan(x, t);
-    const auto w = static_cast<std::size_t>(layout.tileWidth(t));
-    solveTileCsrPass(bt, xt, w, ctx, team, policy);
-  }
-}
-
-void P2pExecutor::solveTileCsrPass(std::span<const double> b_tile,
-                                   std::span<double> x_tile, std::size_t w,
-                                   SolveContext& ctx, int team,
-                                   core::FoldPolicy policy) const {
   const detail::FoldedLists& plan = foldedPlan(team, policy);
   const auto row_ptr = lower_.rowPtr();
   const auto col_idx = lower_.colIdx();
   const auto values = lower_.values();
-  const std::uint32_t epoch = ctx.beginP2pEpoch();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  std::atomic<std::uint32_t>* const done = ctx.done_.get();
-
-  // A dynamically shrunk team would strand the spin-waits on vertices of
-  // the missing threads; pin the team size like the BSP paths do.
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    const auto& verts = plan.verts[t];
-    for (const index_t i : verts) {
-      for (offset_t k = wait_ptr_[static_cast<size_t>(i)];
-           k < wait_ptr_[static_cast<size_t>(i) + 1]; ++k) {
-        const auto u = static_cast<size_t>(wait_adj_[static_cast<size_t>(k)]);
-        if (done[u].load(std::memory_order_acquire) != epoch) {
-          tracer.spinBegin();
-          spinUntil([&] {
-            return done[u].load(std::memory_order_acquire) == epoch;
-          });
-          tracer.spinEnd(static_cast<std::uint64_t>(i));
-        }
-      }
-      detail::computeRowMultiTiled(row_ptr, col_idx, values, b_tile, x_tile,
-                                   i, w);
-      done[static_cast<size_t>(i)].store(epoch, std::memory_order_release);
-    }
-    tracer.finishP2p(static_cast<std::uint64_t>(num_supersteps_));
+  // One full pass per tile, each under its own epoch: the flags cannot
+  // track partial-tile completion, and re-resolving the (sparsified)
+  // dependency structure per tile is the price of the cache-resident tile.
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto bt = layout.tileSpan(b, t);
+    const auto xt = layout.tileSpan(x, t);
+    const auto w = static_cast<std::size_t>(layout.tileWidth(t));
+    pass(plan, ctx, team, [=](index_t i) {
+      detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt, i, w);
+    });
   }
-  acquireTeamWrites(plan, done, epoch);
-}
-
-void P2pExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team) const {
-  solveMultiRhs(b, x, nrhs, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void P2pExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, num_threads_);
-}
-
-void P2pExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, default_ctx_, num_threads_);
 }
 
 }  // namespace sts::exec

@@ -63,25 +63,14 @@ class P2pExecutor {
              SolveContext& ctx) const;
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM: X = L^{-1} B, both n x nrhs row-major; one completion-flag
-  /// store per vertex regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
-  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp).
+  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp);
+  /// a one-tile TileLayout(n, nrhs, nrhs) is the row-major n x nrhs block.
   /// The completion flags are epoch-granular — they cannot express "row i
   /// done for tile t" — so the executor runs one full dependency-resolved
   /// pass per tile, each under a fresh epoch. That trades extra flag
   /// traffic for the cache-resident tile operand and the register-blocked
   /// CSR kernel; column tileBegin(t) + c of the unpacked result is bitwise
-  /// equal to solveMultiRhs's column.
+  /// equal to solve() on that column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
                           int team, core::FoldPolicy policy) const;
@@ -99,12 +88,12 @@ class P2pExecutor {
  private:
   const detail::FoldedLists& foldedPlan(int team,
                                         core::FoldPolicy policy) const;
-  /// One dependency-resolved pass over a single n x w tile under a fresh
-  /// epoch (the register-blocked per-tile leg of solveMultiRhsTiled).
-  void solveTileCsrPass(std::span<const double> b_tile,
-                        std::span<double> x_tile, std::size_t w,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const;
+  /// The executor's one parallel region: a dependency-resolved pass over
+  /// `plan` under a fresh epoch, in which each member runs `row(i)` on its
+  /// vertices once their cross-thread parents are done (p2p.cpp).
+  template <typename RowFn>
+  void pass(const detail::FoldedLists& plan, SolveContext& ctx, int team,
+            RowFn row) const;
 
   const CsrMatrix& lower_;
   int num_threads_ = 0;

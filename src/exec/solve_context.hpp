@@ -56,8 +56,16 @@ class BspExecutor;
 class ContiguousBspExecutor;
 class P2pExecutor;
 class ScopedPin;
+class SolveContext;
 class TriangularSolver;
 struct RowBlock;
+
+namespace detail {
+/// The BSP executors' superstep walker (bsp.cpp).
+template <typename Step>
+void superstepRegion(SolveContext& ctx, int team, sts::index_t steps,
+                     Step step);
+}  // namespace detail
 
 class SolveContext {
  public:
@@ -116,6 +124,9 @@ class SolveContext {
   friend void gatherRows(std::span<const sts::index_t> map,
                          std::span<const RowBlock> blocks, SolveContext& ctx,
                          int team);
+  template <typename Step>
+  friend void detail::superstepRegion(SolveContext& ctx, int team,
+                                      sts::index_t steps, Step step);
 
   /// Throws std::invalid_argument unless this context can host a solve of
   /// `num_threads` team members over `num_vertices` rows: the thread count
@@ -141,6 +152,19 @@ class SolveContext {
   /// inside the parallel region (hence the relaxed atomics).
   void notePin(const ScopedPin& pin);
 
+  /// A team join ThreadSanitizer can see. libgomp's join orders everything
+  /// a member did in a region before the caller's next step, but TSan
+  /// cannot see it, so it would report the caller reading the results, or
+  /// freeing this context, as racing with a member's last access. Each
+  /// member but 0 (the caller's own thread) calls memberDone() as its last
+  /// act in the region, and the caller calls acquireMembers() after the
+  /// region. The join has already completed every release, so the acquire
+  /// never waits.
+  void memberDone() { members_done_.fetch_add(1, std::memory_order_release); }
+  void acquireMembers() {
+    members_done_.exchange(0, std::memory_order_acquire);
+  }
+
   int num_threads_ = 0;
   sts::index_t n_ = 0;
   SpinBarrier barrier_;
@@ -151,6 +175,8 @@ class SolveContext {
   sts::obs::SolveTrace* trace_ = nullptr;
   std::atomic<std::uint64_t> pinned_threads_{0};
   std::atomic<std::uint64_t> migrated_threads_{0};
+  /// Members that finished the current region; see memberDone().
+  std::atomic<int> members_done_{0};
 
   /// done_[v] == epoch_ means v is computed in the current P2P solve.
   std::unique_ptr<std::atomic<std::uint32_t>[]> done_;

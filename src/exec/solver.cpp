@@ -34,12 +34,11 @@ std::string schedulerKindName(SchedulerKind kind) {
 
 namespace {
 
-/// dst row i = src row map[i], rows of `width` doubles (row-major n x width
-/// on both sides): one crossing of the internal order, on the solve's team.
-void gatherRowMajor(std::span<const index_t> map, std::span<const double> src,
-                    std::span<double> dst, std::size_t width,
-                    SolveContext& ctx, int team) {
-  const RowBlock block{src.data(), width, dst.data(), width, width};
+/// dst[i] = src[map[i]]: one crossing of the internal order, on the
+/// solve's team.
+void gatherVector(std::span<const index_t> map, std::span<const double> src,
+                  std::span<double> dst, SolveContext& ctx, int team) {
+  const RowBlock block{src.data(), 1, dst.data(), 1, 1};
   gatherRows(map, {&block, 1}, ctx, team);
 }
 
@@ -233,9 +232,9 @@ void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
   const auto n = static_cast<size_t>(n_);
   const auto b_int = ctx.bScratch(n);
   const auto x_int = ctx.xScratch(n);
-  gatherRowMajor(total_new_to_old_, b, b_int, 1, ctx, team);
+  gatherVector(total_new_to_old_, b, b_int, ctx, team);
   solvePermuted(b_int, x_int, ctx, team, policy);
-  gatherRowMajor(old_to_new_, x_int, x, 1, ctx, team);
+  gatherVector(old_to_new_, x_int, x, ctx, team);
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
@@ -264,23 +263,24 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
         "TriangularSolver::solveMultiRhs: size mismatch");
   }
   const int team = clampTeam(threads);
+  const TileLayout layout = tileLayout(nrhs);
   const auto r = static_cast<size_t>(nrhs);
-  std::span<const double> b_in = b;
-  std::span<double> x_out = x;
-  if (permuted_) {
-    const auto b_int = ctx.bScratch(n * r);
-    gatherRowMajor(total_new_to_old_, b, b_int, r, ctx, team);
-    b_in = b_int;
-    x_out = ctx.xScratch(n * r);
+  const auto b_tiled = ctx.bScratch(n * r);
+  const auto x_tiled = ctx.xScratch(n * r);
+  // Tile t is columns [c0, c0 + w) of the row-major matrix, so one gather
+  // each way permutes and packs (or unpacks) every tile.
+  std::vector<RowBlock> pack, unpack;
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto w = static_cast<size_t>(layout.tileWidth(t));
+    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
+    pack.push_back({b.data() + c0, r, b_tiled.data() + layout.tileOffset(t),
+                    w, w});
+    unpack.push_back({x_tiled.data() + layout.tileOffset(t), w, x.data() + c0,
+                      r, w});
   }
-  if (contiguous_) {
-    contiguous_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
-  } else if (p2p_) {
-    p2p_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
-  } else {
-    bsp_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy);
-  }
-  if (permuted_) gatherRowMajor(old_to_new_, x_out, x, r, ctx, team);
+  gatherRows(total_new_to_old_, pack, ctx, team);
+  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy);
+  gatherRows(old_to_new_, unpack, ctx, team);
 }
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
@@ -307,43 +307,6 @@ TileLayout TriangularSolver::tileLayout(index_t nrhs,
                         : options_.tile_cols > 0 ? options_.tile_cols
                                                  : pickTileCols(n_);
   return TileLayout(n_, nrhs, width);
-}
-
-void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int threads,
-                                          core::FoldPolicy policy) const {
-  const auto n = static_cast<size_t>(n_);
-  if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
-      x.size() != b.size()) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveMultiRhsTiled: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  const TileLayout layout = tileLayout(nrhs);
-  const auto r = static_cast<size_t>(nrhs);
-  const auto b_tiled = ctx.bScratch(n * r);
-  const auto x_tiled = ctx.xScratch(n * r);
-  // Tile t is columns [c0, c0 + w) of the row-major matrix, so one gather
-  // each way permutes and packs (or unpacks) every tile.
-  std::vector<RowBlock> pack, unpack;
-  for (index_t t = 0; t < layout.numTiles(); ++t) {
-    const auto w = static_cast<size_t>(layout.tileWidth(t));
-    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
-    pack.push_back({b.data() + c0, r, b_tiled.data() + layout.tileOffset(t),
-                    w, w});
-    unpack.push_back({x_tiled.data() + layout.tileOffset(t), w, x.data() + c0,
-                      r, w});
-  }
-  gatherRows(total_new_to_old_, pack, ctx, team);
-  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy);
-  gatherRows(old_to_new_, unpack, ctx, team);
-}
-
-void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx) const {
-  solveMultiRhsTiled(b, x, nrhs, ctx, default_team_, options_.fold_policy);
 }
 
 void TriangularSolver::packTiles(std::span<const std::span<const double>> b,
@@ -445,7 +408,7 @@ void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                                           SolveContext& ctx, int threads,
                                           core::FoldPolicy policy,
                                           StorageKind /*storage*/) const {
-  solveMultiRhsTiled(b, x, nrhs, ctx, threads, policy);
+  solveMultiRhs(b, x, nrhs, ctx, threads, policy);
 }
 
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,

@@ -161,7 +161,9 @@ class TriangularSolver {
   /// the ORIGINAL row ordering. One schedule traversal serves all nrhs
   /// solves, amortizing every barrier/flag crossing (Table 7.7's
   /// block-parallel idea); column c of X is bitwise equal to solve() on
-  /// column c of B.
+  /// column c of B. The solve runs on the cache-sized column tiles of
+  /// tileLayout(nrhs): one parallel gather each way (gather.hpp) both
+  /// permutes and packs or unpacks every tile, around solveTiles.
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int threads,
                      core::FoldPolicy policy) const;
@@ -171,17 +173,6 @@ class TriangularSolver {
                      index_t nrhs, SolveContext& ctx) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs) const;
-
-  /// Tiled SpTRSM: like solveMultiRhs (row-major n x nrhs in the ORIGINAL
-  /// ordering, bitwise-identical columns) but the solve runs on the
-  /// cache-sized column tiles of tileLayout(nrhs). One parallel gather
-  /// each way (gather.hpp) both permutes and packs or unpacks every tile,
-  /// so tiling adds no pass beyond what the permuted path already pays.
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          index_t nrhs, SolveContext& ctx, int threads,
-                          core::FoldPolicy policy) const;
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          index_t nrhs, SolveContext& ctx) const;
 
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row
@@ -229,8 +220,9 @@ class TriangularSolver {
   void solvePermuted(std::span<const double> b, std::span<double> x) const;
 
   // Forwards for callers that still pass a StorageKind: bench/ledger's
-  // three call sites. Each ignores it. Drop the block once a change of its
-  // own moves those call sites to the storage-free overloads above.
+  // three call sites. Each ignores it, and solveMultiRhsTiled is
+  // solveMultiRhs. Drop the block once a change of its own moves those
+  // call sites to the storage-free overloads above.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           index_t nrhs, SolveContext& ctx, int threads,
                           core::FoldPolicy policy, StorageKind storage) const;

@@ -13,10 +13,10 @@
 /// Cache-aware column tiling of the multi-RHS right-hand-side/solution
 /// matrix (the RHS layout of the tiled solve path).
 ///
-/// The untiled multi-RHS walk sweeps an n x nrhs row-major matrix: every
-/// row kernel touches nrhs doubles of X per referenced column, so at wide
-/// nrhs the working set of the x-vector traffic is nrhs full columns and
-/// the hot loop turns DRAM-bound. A TileLayout partitions the RHS columns
+/// A walk over an n x nrhs row-major matrix touches nrhs doubles of X per
+/// referenced column, so at wide nrhs the working set of the x-vector
+/// traffic is nrhs full columns and the hot loop turns DRAM-bound. A
+/// TileLayout partitions the RHS columns
 /// into width-T tiles and stores each tile as its own contiguous n x w
 /// row-major block (leading dimension w == the tile width), sized so one
 /// b-tile plus one x-tile fit a per-thread share of L2 (pickTileCols;
@@ -26,11 +26,10 @@
 /// sparse x dense-block work (cf. the tiled-SpMM structure in related
 /// work).
 ///
-/// Bitwise contract: a tile is an independent n x w multi-RHS sub-problem
-/// in exactly the layout the untiled kernels consume, and tiling never
-/// splits or reorders a column's arithmetic — column c of a tiled solve is
-/// bit-for-bit the column c of the untiled solve (tests/test_tiled.cpp
-/// pins this for every executor, team, and nrhs).
+/// Bitwise contract: a tile is an independent n x w multi-RHS sub-problem,
+/// and tiling never splits or reorders a column's arithmetic — column c of
+/// a tiled solve is bit-for-bit a vector solve of column c
+/// (tests/test_tiled.cpp pins this for every executor, team, and nrhs).
 
 namespace sts::exec {
 

@@ -326,7 +326,11 @@ TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
     expected.emplace_back(n, 0.0);
     exec.solve(b, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  // One tile of width nrhs is the row-major n x nrhs block itself.
+  const auto ctx = exec.createContext();
+  exec.solveMultiRhsTiled(b_multi, x_multi,
+                          TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
+                          exec.numThreads(), core::FoldPolicy::kModulo);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -356,7 +360,10 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
     expected.emplace_back(n, 0.0);
     exec.solve(b_perm, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  const auto ctx = exec.createContext();
+  exec.solveMultiRhsTiled(b_multi, x_multi,
+                          TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
+                          exec.numThreads(), core::FoldPolicy::kModulo);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -383,7 +390,10 @@ TEST(P2pExecutor, MultiRhsMatchesSerial) {
     expected.emplace_back(n, 0.0);
     solveLowerSerial(lower, b, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  const auto ctx = exec.createContext();
+  exec.solveMultiRhsTiled(b_multi, x_multi,
+                          TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
+                          exec.numThreads(), core::FoldPolicy::kModulo);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],

@@ -183,7 +183,11 @@ TEST(MultiRhs, BspExecutorMatchesSerial) {
     }
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     exec::solveLowerSerialMultiRhs(lower, b, x_serial, nrhs);
-    executor.solveMultiRhs(b, x_par, nrhs);
+    const auto ctx = executor.createContext();
+    executor.solveMultiRhsTiled(b, x_par,
+                                exec::TileLayout(lower.rows(), nrhs, nrhs),
+                                *ctx, executor.numThreads(),
+                                core::FoldPolicy::kModulo);
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }

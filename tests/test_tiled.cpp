@@ -16,15 +16,15 @@
 
 /// \file test_tiled.cpp
 /// The tiled multi-RHS contract (exec/tile.hpp): column tiles are
-/// independent n x w sub-problems in exactly the untiled kernels' layout,
-/// so the tiled walk is bitwise indistinguishable from the untiled walk
-/// for every executor kind, team size, and RHS count — including
-/// degenerate single-tile batches and explicit narrow tiles that force
-/// multi-tile execution. Plus the layout/pack/unpack arithmetic, sysfs
-/// cache-geometry detection fallbacks, the STS_TILE_COLS override,
-/// concurrent mixed-layout solves (TSan-covered in CI), the engine's
-/// direct-into-tiles pack path with its pack/unpack stats attribution,
-/// and the fold-aware GrowLocal never-loses guarantee.
+/// independent n x w sub-problems, so every column of a tiled solve is
+/// bitwise a vector solve() of that column, for every executor kind, team
+/// size, and RHS count — including degenerate single-tile batches and
+/// explicit narrow tiles that force multi-tile execution. Plus the
+/// layout/pack/unpack arithmetic, sysfs cache-geometry detection
+/// fallbacks, the STS_TILE_COLS override, concurrent multi-RHS and vector
+/// solves (TSan-covered in CI), the engine's direct-into-tiles pack path
+/// with its pack/unpack stats attribution, and the fold-aware GrowLocal
+/// never-loses guarantee.
 
 namespace sts {
 namespace {
@@ -79,6 +79,23 @@ std::vector<double> makeRhs(size_t n, index_t nrhs, unsigned salt = 0) {
            0.5 * static_cast<double>((i + salt) % 3);
   }
   return b;
+}
+
+/// The reference every multi-RHS path is pinned to: solve() on each column
+/// of the row-major n x nrhs block `b`, on a `team`-wide team.
+std::vector<double> columnSolves(const TriangularSolver& solver,
+                                 exec::SolveContext& ctx,
+                                 const std::vector<double>& b, index_t nrhs,
+                                 int team) {
+  const auto n = static_cast<size_t>(solver.numRows());
+  const auto r = static_cast<size_t>(nrhs);
+  std::vector<double> x(b.size()), bc(n), xc(n);
+  for (size_t c = 0; c < r; ++c) {
+    for (size_t i = 0; i < n; ++i) bc[i] = b[i * r + c];
+    solver.solve(bc, xc, ctx, team, solver.options().fold_policy);
+    for (size_t i = 0; i < n; ++i) x[i * r + c] = xc[i];
+  }
+  return x;
 }
 
 TEST(TileLayout, GeometryPackUnpackRoundtrip) {
@@ -162,7 +179,7 @@ TEST(TileGeometry, PickTileColsRespectsEnvOverride) {
   EXPECT_EQ(auto_cols % 8, 0);
 }
 
-TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
+TEST(TiledSolve, BitwiseMatchesColumnSolvesForEveryConfig) {
   const int width = 4;
   const auto matrices = {
       datagen::grid2dLaplacian5(14, 17).lowerTriangle(),
@@ -183,13 +200,10 @@ TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
         for (const int team : {1, width}) {
           for (const index_t nrhs : {1, 3, 8, 17}) {
             const auto b = makeRhs(n, nrhs);
-            std::vector<double> x_untiled(b.size());
             std::vector<double> x_tiled(b.size());
-            solver.solveMultiRhs(b, x_untiled, nrhs, *ctx, team,
+            solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team,
                                  solver.options().fold_policy);
-            solver.solveMultiRhsTiled(b, x_tiled, nrhs, *ctx, team,
-                                      solver.options().fold_policy);
-            ASSERT_EQ(x_tiled, x_untiled)
+            ASSERT_EQ(x_tiled, columnSolves(solver, *ctx, b, nrhs, team))
                 << config.name << " tile_cols " << tile_cols << " team "
                 << team << " nrhs " << nrhs;
           }
@@ -214,8 +228,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   const auto r = static_cast<size_t>(nrhs);
   const auto b = makeRhs(n, nrhs, 9);
 
-  std::vector<double> x_ref(b.size());
-  solver.solveMultiRhs(b, x_ref, nrhs, *ctx);
+  const auto x_ref = columnSolves(solver, *ctx, b, nrhs, solver.numThreads());
 
   const TileLayout layout = solver.tileLayout(nrhs);
   EXPECT_EQ(layout.tileCols(), 4);
@@ -261,7 +274,7 @@ TEST(TiledSolve, BytesMovedAccountingIsConsistent) {
 }
 
 TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
-  // Tiled and untiled solves race on one solver with distinct contexts,
+  // Multi-RHS and vector solves race on one solver with distinct contexts,
   // mixing teams: the lazy fold caches and the tiled scratch buffers must
   // not interfere — TSan covers this in CI.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
@@ -275,11 +288,10 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
 
   const index_t nrhs = 7;
   const auto b = makeRhs(n, nrhs);
-  std::vector<double> expected(b.size());
+  std::vector<double> expected;
   {
     auto ctx = solver.createContext();
-    solver.solveMultiRhs(b, expected, nrhs, *ctx, solver.numThreads(),
-                         core::FoldPolicy::kModulo);
+    expected = columnSolves(solver, *ctx, b, nrhs, solver.numThreads());
   }
 
   constexpr int kWorkers = 8;
@@ -291,11 +303,10 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
       const int team = 1 + w % solver.numThreads();
       for (int rep = 0; rep < 3; ++rep) {
         if (w % 2 == 0) {
-          solver.solveMultiRhsTiled(b, x, nrhs, *ctx, team,
-                                    core::FoldPolicy::kModulo);
-        } else {
           solver.solveMultiRhs(b, x, nrhs, *ctx, team,
                                core::FoldPolicy::kModulo);
+        } else {
+          x = columnSolves(solver, *ctx, b, nrhs, team);
         }
       }
       return x;
@@ -347,10 +358,10 @@ TEST(TiledEngine, PacksBatchesIntoTilesBitwiseWithStats) {
   // An explicit multi-RHS submission routes through the tiled path too.
   const index_t nrhs = 5;
   const auto bm = makeRhs(n, nrhs, 99);
-  std::vector<double> xm_ref(bm.size());
+  std::vector<double> xm_ref;
   {
     auto ctx = solver->createContext();
-    solver->solveMultiRhs(bm, xm_ref, nrhs, *ctx);
+    xm_ref = columnSolves(*solver, *ctx, bm, nrhs, solver->defaultTeam());
   }
   const auto before = engine.stats(id).tiled_batches;
   auto fut = engine.submitMulti(id, bm, nrhs);

@@ -5,9 +5,10 @@ Five rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
-      Every `#pragma omp parallel` team region in src/exec/*.cpp must
-      install a ScopedPin and an obs::StepTracer near the top of the
-      region body. A region without the pin silently ignores core-set
+      Every `#pragma omp parallel` team region in src/exec/*.cpp and
+      src/exec/*.hpp must install a ScopedPin and an obs::StepTracer near
+      the top of the region body (a region templated into a header is
+      still a solve region). A region without the pin silently ignores core-set
       leases (batches overlap cores again); one without the tracer makes
       that region invisible to compute/wait attribution. block.cpp's
       analysis-time `parallel for` loops are exempt (no solve region, no
@@ -265,7 +266,8 @@ def run(paths: list[Path]) -> list[str]:
     errors = []
     for path in paths:
         lines = path.read_text(encoding="utf-8").splitlines()
-        if path.is_relative_to(SRC / "exec") and path.suffix == ".cpp":
+        if path.is_relative_to(SRC / "exec") and path.suffix in (".cpp",
+                                                                 ".hpp"):
             errors += check_omp_regions(path, lines)
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
@@ -292,6 +294,17 @@ FIXTURES = [
   {
     work();
   }
+""", "omp-region-discipline"),
+    ("omp region in an exec header missing both flags", "src/exec/fix.hpp",
+     """
+#pragma once
+template <typename Step>
+void walk(int team, Step step) {
+#pragma omp parallel num_threads(team)
+  {
+    step();
+  }
+}
 """, "omp-region-discipline"),
     ("omp parallel for is exempt", "src/exec/fix.cpp", """
 #pragma omp parallel for schedule(dynamic, 1)
