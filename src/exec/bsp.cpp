@@ -49,9 +49,12 @@ void superstepRegion(SolveContext& ctx, int team, index_t steps, Step step) {
         }
       }
     }
-    if (t != 0) ctx.memberDone();
+    if (t != 0) {
+      ctx.memberDone();
+    } else {
+      ctx.awaitMembers(team);
+    }
   }
-  ctx.acquireMembers();
 }
 
 }  // namespace detail

@@ -44,10 +44,11 @@ void gatherRows(std::span<const index_t> map, std::span<const RowBlock> blocks,
 #pragma omp parallel num_threads(team)
   {
     const int t = omp_get_thread_num();
+    const int team_size = omp_get_num_threads();
     {
       const ScopedPin pin(pin_set, t);
       obs::StepTracer tracer(ctx.trace());
-      const auto members = static_cast<std::size_t>(omp_get_num_threads());
+      const auto members = static_cast<std::size_t>(team_size);
       const auto rank = static_cast<std::size_t>(t);
       const std::size_t end = n * (rank + 1) / members;
       for (std::size_t c0 = n * rank / members; c0 < end; c0 += kChunkRows) {
@@ -66,11 +67,14 @@ void gatherRows(std::span<const index_t> map, std::span<const RowBlock> blocks,
         barrier.wait(sense, static_cast<int>(members));
       }
     }
-    // The caller reads the destinations after the region: count this
-    // member out so ThreadSanitizer sees that order too.
-    if (t != 0) ctx.memberDone();
+    // The caller reads the destinations after the region: count the
+    // members out so ThreadSanitizer sees that order too.
+    if (t != 0) {
+      ctx.memberDone();
+    } else {
+      ctx.awaitMembers(team_size);
+    }
   }
-  ctx.acquireMembers();
 }
 
 }  // namespace sts::exec
