@@ -1,38 +1,26 @@
-/// Fold-policy comparison: work-aware (bin-packing) vs. modulo rank
-/// folding. Part 1 measures fold *quality*: for each dataset x scheduler x
-/// target team size, the folded compute makespan (sum over supersteps of
-/// the max per-slot load) and the per-superstep max/mean imbalance of both
-/// core::FoldPolicy maps — the HDagg-style observation that balanced
+/// Fold quality: core::foldRankMap's work-aware fold against the p mod t
+/// map it is never worse than. Part 1 measures the fold itself: for each
+/// dataset x scheduler x target team size, the folded compute makespan
+/// (sum over supersteps of the max per-slot load) and the whole-fold
+/// imbalance of both maps — the HDagg-style observation that balanced
 /// merging beats naive grouping, applied to schedule re-targeting. Part 2
-/// measures what that buys *served*: a SolverEngine under a machine-wide
-/// CoreBudget drains a staged backlog with solvers analyzed under each
-/// policy, so budget-throttled (shrunk) teams are exercised on every
-/// batch. Part 3 closes the loop at schedule time: GrowLocal built with
-/// fold_targets (fold-policy-aware acceptance) is compared against the
-/// plain build on the summed folded BSP cost over the same targets —
-/// schedule-time awareness must never lose to binpack-after-the-fact.
+/// closes the loop at schedule time: GrowLocal built with fold_targets
+/// (fold-aware acceptance) is compared against the plain build on the
+/// summed folded BSP cost over the same targets — schedule-time awareness
+/// must never lose to folding after the fact.
 ///
-///   STS_BENCH_SCALE / STS_BENCH_REPS  dataset sizing as usual;
-///   STS_FOLD_WIDTH    (default 8)     schedule width C;
-///   STS_FOLD_WORKERS  (default 4)     engine dispatcher threads (part 2);
-///   STS_FOLD_BUDGET   (default C/2)   aggregate core budget (part 2 —
-///                                     below C so every grant is throttled
-///                                     onto a folded team);
-///   STS_FOLD_REPS     (default 5)     timed passes per configuration.
+///   STS_BENCH_SCALE                   dataset sizing as usual;
+///   STS_FOLD_WIDTH    (default 8)     schedule width C.
 ///
-/// Emits JSON with host metadata. Exit code 0 iff the bin-pack fold's
-/// makespan is never worse than modulo's on every measured configuration
-/// (the foldRankMap guarantee, re-checked end to end here) AND the
-/// fold-aware GrowLocal build never costs more than the plain build on the
-/// summed folded metric (the growLocalSchedule keep-better-of-two
-/// guarantee).
+/// Emits JSON with host metadata. Exit code 0 iff the fold's makespan is
+/// never worse than p mod t's on every measured configuration (the
+/// foldRankMap guarantee, re-checked end to end here) AND the fold-aware
+/// GrowLocal build never costs more than the plain build on the summed
+/// folded metric (the growLocalSchedule keep-better-of-two guarantee).
+/// tests/test_fold_policies.cpp pins part 1's rows at scale 0.05.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <future>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,10 +28,8 @@
 #include "bench_common.hpp"
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
-#include "engine/solver_engine.hpp"
 #include "exec/solver.hpp"
 #include "harness/datasets.hpp"
-#include "harness/stats.hpp"
 
 namespace {
 
@@ -70,8 +56,8 @@ struct FoldAwareRow {
 };
 
 /// The selection metric growLocalSchedule uses for its keep-better-of-two:
-/// summed over `targets`, the kBinPack-folded makespan at that team width
-/// plus L per superstep. Recomputed here so the gate checks the public
+/// summed over `targets`, the folded makespan at that team width plus L
+/// per superstep. Recomputed here so the gate checks the public
 /// contract end to end rather than trusting the scheduler's own arithmetic.
 double summedFoldedCost(const sts::core::Schedule& schedule,
                         const std::vector<int>& targets, double sync_l,
@@ -79,57 +65,23 @@ double summedFoldedCost(const sts::core::Schedule& schedule,
   double cost = 0.0;
   for (const int raw : targets) {
     const int t = std::clamp(raw, 1, schedule.numCores());
-    cost += static_cast<double>(sts::core::foldedMakespanAt(
-                schedule, t, sts::core::FoldPolicy::kBinPack, weights)) +
+    cost += static_cast<double>(
+                sts::core::foldedMakespanAt(schedule, t, weights)) +
             sync_l * static_cast<double>(schedule.numSupersteps());
   }
   return cost;
-}
-
-struct ServeRow {
-  std::string matrix;
-  std::string policy;
-  int backlog = 0;
-  double median_seconds = 0.0;
-  double rhs_per_second = 0.0;
-  double mean_team_size = 0.0;
-  std::uint64_t throttled = 0;
-};
-
-double measurePass(sts::engine::SolverEngine& engine,
-                   sts::engine::SolverId id,
-                   const std::vector<std::vector<double>>& rhs, int reps) {
-  using Clock = std::chrono::high_resolution_clock;
-  std::vector<double> seconds;
-  for (int pass = 0; pass < reps + 1; ++pass) {
-    engine.pause();
-    std::vector<std::future<std::vector<double>>> futures;
-    futures.reserve(rhs.size());
-    for (const auto& b : rhs) futures.push_back(engine.submit(id, b));
-    const auto t0 = Clock::now();
-    engine.resume();
-    for (auto& f : futures) f.get();
-    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (pass > 0) seconds.push_back(s);  // pass 0 is warmup
-  }
-  return sts::harness::quantile(seconds, 0.5);
 }
 
 }  // namespace
 
 int main() {
   using namespace sts;
-  using core::FoldPolicy;
 
   const int width = envInt("STS_FOLD_WIDTH", 8);
-  const int workers = envInt("STS_FOLD_WORKERS", 4);
-  const int budget = envInt("STS_FOLD_BUDGET", std::max(1, width / 2));
-  const int reps = envInt("STS_FOLD_REPS", 5);
 
   bench::banner("Fold policies", "Steiner et al. (elasticity follow-up)",
-                "Work-aware vs. modulo rank folding: makespan and serving");
-  std::printf("schedule width %d, %d workers, core budget %d\n\n", width,
-              workers, budget);
+                "Work-aware vs. modulo rank folding: folded makespan");
+  std::printf("schedule width %d\n\n", width);
 
   // The imbalance-prone families the work-aware fold is for, plus one
   // SuiteSparse(-standin or real) representative.
@@ -185,10 +137,9 @@ int main() {
         row.matrix = entry.name;
         row.scheduler = sched_name;
         row.team = t;
-        const auto mod =
-            core::foldRankMap(steps, cores, t, FoldPolicy::kModulo);
-        const auto pack =
-            core::foldRankMap(steps, cores, t, FoldPolicy::kBinPack, loads);
+        std::vector<int> mod(static_cast<size_t>(cores));
+        for (int p = 0; p < cores; ++p) mod[static_cast<size_t>(p)] = p % t;
+        const auto pack = core::foldRankMap(steps, cores, t, loads);
         row.modulo_makespan =
             core::foldedMakespan(loads, steps, cores, t, mod);
         row.binpack_makespan =
@@ -210,7 +161,7 @@ int main() {
     }
   }
 
-  // ---------------------- part 3: fold-aware scheduling never-loses gate
+  // ---------------------- part 2: fold-aware scheduling never-loses gate
   // GrowLocal with fold_targets rejects trials whose per-core loads no
   // after-the-fact bin-packing can rebalance, then keeps the better of
   // {fold-aware, plain} by the summed folded BSP cost. Re-derive that cost
@@ -247,70 +198,11 @@ int main() {
                   row.aware_cost <= row.plain_cost ? "ok" : "WORSE");
       fold_aware_rows.push_back(std::move(row));
     }
-    std::printf("\n");
-  }
-
-  // --------------------------------- part 2: serving under a core budget
-  // Workers outnumber the per-batch share of the budget, so every batch's
-  // grant is throttled below the base width: the folded (shrunk) plans —
-  // where the policies actually differ — carry all the traffic.
-  std::vector<ServeRow> serve_rows;
-  const std::vector<std::pair<std::string, FoldPolicy>> policies = {
-      {"modulo", FoldPolicy::kModulo}, {"binpack", FoldPolicy::kBinPack}};
-  for (size_t e = 0; e < entries.size() && e < 2; ++e) {
-    const auto& entry = entries[e];
-    const auto n = static_cast<size_t>(entry.lower.rows());
-    const int backlog = 16 * workers;
-    std::vector<std::vector<double>> rhs(static_cast<size_t>(backlog));
-    for (size_t j = 0; j < rhs.size(); ++j) {
-      rhs[j].resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        rhs[j][i] = 1.0 + 0.25 * static_cast<double>((i + 7 * j) % 13);
-      }
-    }
-    for (const auto& [policy_name, policy] : policies) {
-      exec::SolverOptions solver_opts;
-      solver_opts.scheduler = exec::SchedulerKind::kGrowLocal;
-      solver_opts.num_threads = width;
-      solver_opts.validate = false;
-      solver_opts.fold_policy = policy;
-      auto solver = std::make_shared<const exec::TriangularSolver>(
-          exec::TriangularSolver::analyze(entry.lower, solver_opts));
-      engine::EngineOptions opts;
-      opts.num_workers = workers;
-      opts.start_paused = true;
-      opts.core_budget = budget;
-      // Desire the full width on every batch: with several workers racing
-      // for the shared budget the grants land anywhere in [1, width], so
-      // the folded plans — where the two policies differ — carry the
-      // traffic regardless of the host's core count.
-      opts.team_size = width;
-      engine::SolverEngine engine(opts);
-      const auto id = engine.registerSolver(solver);
-      ServeRow row;
-      row.matrix = entry.name;
-      row.policy = policy_name;
-      row.backlog = backlog;
-      row.median_seconds = measurePass(engine, id, rhs, reps);
-      row.rhs_per_second =
-          static_cast<double>(backlog) / row.median_seconds;
-      const auto stats = engine.stats(id);
-      row.mean_team_size = stats.mean_team_size;
-      row.throttled = stats.budget_throttled_batches;
-      std::printf("%-14s serve %-8s backlog %3d: %8.3f ms, %9.0f rhs/s, "
-                  "mean team %.2f, %llu throttled\n",
-                  entry.name.c_str(), policy_name.c_str(), backlog,
-                  row.median_seconds * 1e3, row.rhs_per_second,
-                  row.mean_team_size,
-                  static_cast<unsigned long long>(row.throttled));
-      serve_rows.push_back(std::move(row));
-    }
   }
 
   std::printf("\nJSON: {\"bench\":\"fold_policies\",%s,"
-              "\"schedule_width\":%d,\"workers\":%d,\"core_budget\":%d,"
-              "\"fold\":[",
-              bench::hostMetaJson().c_str(), width, workers, budget);
+              "\"schedule_width\":%d,\"fold\":[",
+              bench::hostMetaJson().c_str(), width);
   for (size_t i = 0; i < fold_rows.size(); ++i) {
     const auto& r = fold_rows[i];
     std::printf("%s{\"dataset\":\"%s\",\"matrix\":\"%s\","
@@ -330,18 +222,6 @@ int main() {
                 i == 0 ? "" : ",", r.dataset.c_str(), r.matrix.c_str(),
                 r.plain_cost, r.aware_cost, r.plain_supersteps,
                 r.aware_supersteps);
-  }
-  std::printf("],\"serving\":[");
-  for (size_t i = 0; i < serve_rows.size(); ++i) {
-    const auto& r = serve_rows[i];
-    std::printf("%s{\"matrix\":\"%s\",\"fold_policy\":\"%s\","
-                "\"backlog\":%d,\"median_seconds\":%.6g,"
-                "\"rhs_per_second\":%.6g,\"mean_team_size\":%.3g,"
-                "\"budget_throttled_batches\":%llu}",
-                i == 0 ? "" : ",", r.matrix.c_str(), r.policy.c_str(),
-                r.backlog, r.median_seconds, r.rhs_per_second,
-                r.mean_team_size,
-                static_cast<unsigned long long>(r.throttled));
   }
   std::printf("]}\n");
 

@@ -55,10 +55,11 @@ void BM_BspSolve(benchmark::State& state) {
   const auto schedule = core::growLocalSchedule(
       benchDag(), {.num_cores = static_cast<int>(state.range(0))});
   const exec::BspExecutor executor(lower, schedule);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -90,7 +91,7 @@ void BM_BspSolveTraced(benchmark::State& state, bool armed, bool session) {
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x, *ctx);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   if (trace != nullptr) trace->stop();
@@ -128,10 +129,11 @@ void BM_ContiguousSolve(benchmark::State& state) {
                                              problem.num_supersteps,
                                              problem.num_cores,
                                              problem.group_ptr);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -141,11 +143,12 @@ BENCHMARK(BM_ContiguousSolve);
 void BM_P2pSolve(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto spmp = baselines::spmpSchedule(benchDag(), {.num_cores = 2});
-  exec::P2pExecutor executor(lower, spmp.schedule, spmp.reduced_dag);
+  const exec::P2pExecutor executor(lower, spmp.schedule, spmp.reduced_dag);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -194,8 +197,7 @@ void BM_BspSolveMultiShared(benchmark::State& state) {
   std::vector<double> x(b.size(), 0.0);
   const exec::TileLayout layout(lower.rows(), r, r);
   for (auto _ : state) {
-    executor.solveMultiRhsTiled(b, x, layout, *ctx, executor.numThreads(),
-                                core::FoldPolicy::kModulo);
+    executor.solveMultiRhsTiled(b, x, layout, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz() *

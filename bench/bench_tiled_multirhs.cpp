@@ -75,8 +75,7 @@ double timeColumns(const TriangularSolver& solver, exec::SolveContext& ctx,
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
     for (size_t c = 0; c < b_cols.size(); ++c) {
-      solver.solvePermuted(b_cols[c], x_cols[c], ctx, team,
-                           solver.options().fold_policy);
+      solver.solvePermuted(b_cols[c], x_cols[c], ctx, team);
     }
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
@@ -92,8 +91,7 @@ double timeTiled(const TriangularSolver& solver, exec::SolveContext& ctx,
   seconds.reserve(static_cast<size_t>(reps));
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
-    solver.solveTiles(b_tiled, x_tiled, layout, ctx, team,
-                      solver.options().fold_policy);
+    solver.solveTiles(b_tiled, x_tiled, layout, ctx, team);
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
   }
@@ -186,8 +184,7 @@ int main() {
             std::vector<double> bc(n);
             for (size_t c = 0; c < r; ++c) {
               for (size_t i = 0; i < n; ++i) bc[i] = b[i * r + c];
-              solver.solve(bc, x_cols[c], *ctx, team,
-                           solver.options().fold_policy);
+              solver.solve(bc, x_cols[c], *ctx, team);
               for (size_t i = 0; i < n; ++i) x_ref[i * r + c] = x_cols[c][i];
             }
           }
@@ -195,8 +192,7 @@ int main() {
           // Full public multi-RHS path (internal pack + permutation): the
           // bitwise gate checks the layer users actually call.
           std::vector<double> x_public(b.size());
-          solver.solveMultiRhs(b, x_public, nrhs, *ctx, team,
-                               solver.options().fold_policy);
+          solver.solveMultiRhs(b, x_public, nrhs, *ctx, team);
           if (x_ref != x_public) bitwise_ok = false;
 
           // Pre-permuted columns for the timed vector solves, and the same

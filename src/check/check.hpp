@@ -63,9 +63,9 @@ CheckResult validateSchedule(const dag::Dag& dag,
 /// every value lands in [0, target), and every target slot is hit at least
 /// once — i.e. the induced map on rank classes is a bijection onto
 /// [0, target), so folding never silently drops an execution slot (an
-/// empty folded rank would idle a granted core forever). Both shipped
-/// policies guarantee this: kModulo by construction, kBinPack because an
-/// empty slot always minimizes the makespan delta of the next rank.
+/// empty folded rank would idle a granted core forever). core::foldRankMap
+/// guarantees this for both of its candidates: p mod t by construction, the
+/// packed map by repairing every empty slot with a rank from a shared one.
 CheckResult validateRankMap(int width, int target,
                             std::span<const int> rank_map);
 

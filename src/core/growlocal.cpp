@@ -114,7 +114,7 @@ class GrowLocalState {
            (static_cast<double>(opts_.num_cores) * static_cast<double>(max));
   }
 
-  /// utilization() evaluated AFTER kBinPack-folding the trial's Ω vector
+  /// utilization() evaluated AFTER folding the trial's Ω vector
   /// onto `target` slots (a one-superstep load table): the balance an
   /// elastic solve at that width would actually see. A trial can look
   /// balanced at full width yet fold into one overloaded slot — this is
@@ -123,8 +123,7 @@ class GrowLocalState {
     if (target >= opts_.num_cores) return utilization();
     const weight_t sum =
         std::accumulate(omega_.begin(), omega_.end(), weight_t{0});
-    const auto map = foldRankMap(1, opts_.num_cores, target,
-                                 FoldPolicy::kBinPack, omega_);
+    const auto map = foldRankMap(1, opts_.num_cores, target, omega_);
     const weight_t max =
         foldedMakespan(omega_, 1, opts_.num_cores, target, map);
     if (max == 0) return 1.0;
@@ -272,7 +271,7 @@ class GrowLocalState {
   index_t committed_count_ = 0;
 };
 
-/// True iff the trial's loads stay balanced after kBinPack-folding onto
+/// True iff the trial's loads stay balanced after folding onto
 /// every requested target (vacuously true with no targets).
 bool foldBalanced(const GrowLocalState& state, const GrowLocalOptions& opts) {
   for (const int target : opts.fold_targets) {
@@ -283,9 +282,9 @@ bool foldBalanced(const GrowLocalState& state, const GrowLocalOptions& opts) {
 }
 
 /// The metric fold-aware scheduling competes on: summed folded BSP cost
-/// (compute makespan under kBinPack + L per barrier) across the requested
+/// (folded compute makespan + L per barrier) across the requested
 /// targets plus the full width. The keep-better-of-two selection below
-/// makes fold-aware never lose to binpack-after-the-fact on this quantity
+/// makes fold-aware never lose to folding-after-the-fact on this quantity
 /// by construction (the bench_fold_policies gate).
 double foldedBspCost(const Schedule& schedule, const GrowLocalOptions& opts,
                      std::span<const weight_t> weights) {
@@ -294,8 +293,7 @@ double foldedBspCost(const Schedule& schedule, const GrowLocalOptions& opts,
   double cost = 0.0;
   for (const int raw : targets) {
     const int t = std::clamp(raw, 1, schedule.numCores());
-    cost += static_cast<double>(
-                foldedMakespanAt(schedule, t, FoldPolicy::kBinPack, weights)) +
+    cost += static_cast<double>(foldedMakespanAt(schedule, t, weights)) +
             opts.sync_cost_l * static_cast<double>(schedule.numSupersteps());
   }
   return cost;

@@ -53,17 +53,17 @@ struct GrowLocalOptions {
   /// dependency chains in a single superstep.
   bool coalesce_supersteps = true;
 
-  /// Fold-policy-aware acceptance: team widths the schedule is expected to
-  /// be folded onto at solve time (the elastic-serving contract,
+  /// Fold-aware acceptance: team widths the schedule is expected to be
+  /// folded onto at solve time (the elastic-serving contract,
   /// exec/elastic.hpp). When non-empty, each trial's worthiness
   /// additionally requires the trial's per-core loads to stay balanced
-  /// AFTER kBinPack folding onto every listed target — foldedMakespan on
-  /// the trial's one-superstep load table — so imbalance that no
+  /// AFTER folding (foldRankMap) onto every listed target — foldedMakespan
+  /// on the trial's one-superstep load table — so imbalance that no
   /// after-the-fact rank packing can repair is rejected at schedule time.
   /// The final schedule is then the better of {fold-aware, plain} by the
-  /// summed folded BSP cost Σ_t (foldedMakespanAt(·, t, kBinPack) +
-  /// L · numSupersteps) over targets ∪ {num_cores}, so enabling targets
-  /// never loses to binpack-after-the-fact on that metric (the
+  /// summed folded BSP cost Σ_t (foldedMakespanAt(·, t) + L ·
+  /// numSupersteps) over targets ∪ {num_cores}, so enabling targets
+  /// never loses to folding-after-the-fact on that metric (the
   /// bench_fold_policies gate). Entries must be >= 1; values above
   /// num_cores clamp to it. Empty (default) keeps the original test.
   std::vector<int> fold_targets = {};

@@ -11,14 +11,6 @@
 
 namespace sts::core {
 
-std::string foldPolicyName(FoldPolicy policy) {
-  switch (policy) {
-    case FoldPolicy::kModulo: return "modulo";
-    case FoldPolicy::kBinPack: return "binpack";
-  }
-  return "?";
-}
-
 namespace {
 
 void requireFoldShape(index_t num_supersteps, int width, int target,
@@ -94,8 +86,7 @@ std::vector<int> binPackRankMap(index_t num_supersteps, int width, int target,
   // own at least one rank (check::validateRankMap pins this): give each
   // empty slot the lightest rank of a multi-rank slot. Moving a rank out
   // of a shared slot onto an empty one never increases any per-superstep
-  // load, so the repair keeps the makespan bound (and with it the
-  // never-worse-than-modulo property).
+  // load, so the repair keeps the makespan bound.
   std::vector<int> slot_ranks(static_cast<size_t>(target), 0);
   for (const int q : map) ++slot_ranks[static_cast<size_t>(q)];
   for (int q = 0; q < target; ++q) {
@@ -121,23 +112,22 @@ std::vector<int> binPackRankMap(index_t num_supersteps, int width, int target,
 }  // namespace
 
 std::vector<int> foldRankMap(index_t num_supersteps, int width, int target,
-                             FoldPolicy policy,
                              std::span<const weight_t> rank_loads) {
   requireFoldShape(num_supersteps, width, target, "foldRankMap");
   std::vector<int> modulo(static_cast<size_t>(width));
   for (int p = 0; p < width; ++p) modulo[static_cast<size_t>(p)] = p % target;
-  if (policy == FoldPolicy::kModulo || target == width) return modulo;
+  if (target == width) return modulo;
 
   if (rank_loads.size() != static_cast<size_t>(num_supersteps) *
                                static_cast<size_t>(width)) {
     throw std::invalid_argument(
-        "foldRankMap: kBinPack needs a num_supersteps * width load table");
+        "foldRankMap: needs a num_supersteps * width load table");
   }
   std::vector<int> packed =
       binPackRankMap(num_supersteps, width, target, rank_loads);
   // The greedy packing is near-optimal in practice but carries no guarantee;
-  // keeping the better of {greedy, modulo} makes kBinPack never worse than
-  // kModulo by construction (the property the tests pin).
+  // keeping the better of {greedy, modulo} makes the fold never worse than
+  // p mod target by construction (the property the tests pin).
   const weight_t packed_makespan =
       foldedMakespan(rank_loads, num_supersteps, width, target, packed);
   const weight_t modulo_makespan =
@@ -182,14 +172,13 @@ double foldedImbalance(std::span<const weight_t> rank_loads,
 }
 
 weight_t foldedMakespanAt(const Schedule& schedule, int target,
-                          FoldPolicy policy,
                           std::span<const weight_t> vertex_weights) {
   if (target < 1 || target > schedule.numCores()) {
     throw std::invalid_argument("foldedMakespanAt: target out of range");
   }
   const auto loads = schedule.rankLoads(vertex_weights);
   const auto map = foldRankMap(schedule.numSupersteps(), schedule.numCores(),
-                               target, policy, loads);
+                               target, loads);
   return foldedMakespan(loads, schedule.numSupersteps(), schedule.numCores(),
                         target, map);
 }
@@ -312,11 +301,7 @@ std::span<const index_t> Schedule::group(index_t s, int p) const {
                static_cast<size_t>(group_ptr[g + 1] - group_ptr[g]));
 }
 
-Schedule Schedule::foldTo(int num_cores) const {
-  return foldTo(num_cores, FoldPolicy::kModulo);
-}
-
-Schedule Schedule::foldTo(int num_cores, FoldPolicy policy,
+Schedule Schedule::foldTo(int num_cores,
                           std::span<const weight_t> vertex_weights) const {
   if (num_cores <= 0) {
     throw std::invalid_argument("Schedule::foldTo: num_cores must be positive");
@@ -326,14 +311,12 @@ Schedule Schedule::foldTo(int num_cores, FoldPolicy policy,
         "Schedule::foldTo: cannot widen a schedule (requested " +
         std::to_string(num_cores) + " > " + std::to_string(num_cores_) + ")");
   }
-  // Shared payload makes the fold-to-self an O(1) shallow copy (identical
-  // for every policy: folding onto the full width merges nothing).
+  // Shared payload makes the fold-to-self an O(1) shallow copy (folding
+  // onto the full width merges nothing).
   if (num_cores == num_cores_) return *this;
 
-  std::vector<weight_t> loads;
-  if (policy != FoldPolicy::kModulo) loads = rankLoads(vertex_weights);
-  const std::vector<int> map =
-      foldRankMap(num_supersteps_, num_cores_, num_cores, policy, loads);
+  const std::vector<int> map = foldRankMap(
+      num_supersteps_, num_cores_, num_cores, rankLoads(vertex_weights));
   return foldWith(map, num_cores);
 }
 

@@ -19,9 +19,9 @@
 /// foldTo(numCores()), which returns *this — is O(1) and allocation-free.
 ///
 /// A schedule's "core" is a RANK, not a physical CPU: execution may fold
-/// any schedule onto a smaller team (foldTo / the FoldPolicy machinery
-/// below — the elasticity contract in docs/ARCHITECTURE.md), and the
-/// serving engine maps the resulting team onto concrete CPU ids via
+/// any schedule onto a smaller team (foldTo / foldRankMap below — the
+/// elasticity contract in docs/ARCHITECTURE.md), and the serving engine
+/// maps the resulting team onto concrete CPU ids via
 /// engine::CoreBudget's core-set mode (the affinity contract). Nothing in
 /// this layer knows about either; it only promises that whole-rank merges
 /// preserve validity.
@@ -33,38 +33,22 @@ using dag::weight_t;
 using sts::index_t;
 using sts::offset_t;
 
-/// How ranks map onto a smaller execution width when a schedule is folded
-/// (Schedule::foldTo and the executor-side plan folds in exec/elastic.hpp).
-/// Either policy merges *whole* ranks, which keeps the fold always-valid:
-/// same-superstep edges are intra-core by Definition 2.1 and therefore stay
-/// intra-core under any rank-granularity map.
-enum class FoldPolicy {
-  /// p -> p mod t. Oblivious to load; can compound per-rank imbalance when
-  /// heavy ranks collide on one slot.
-  kModulo = 0,
-  /// LPT bin packing of whole ranks onto the t target slots by their
-  /// per-superstep work (heaviest total first, each placed on the slot that
-  /// grows the folded makespan least). Never worse than kModulo: the packer
-  /// keeps whichever of {greedy, modulo} has the smaller folded makespan.
-  kBinPack = 1,
-};
-
-/// Number of FoldPolicy values (sizes the executor plan caches).
-inline constexpr int kNumFoldPolicies = 2;
-
-std::string foldPolicyName(FoldPolicy policy);
-
-/// Builds the rank -> slot map folding `width` ranks onto `target` slots.
-/// `rank_loads` is the superstep-major per-(superstep, rank) work table
-/// (size num_supersteps * width, e.g. Schedule::rankLoads); kModulo ignores
-/// it, kBinPack requires it. Throws std::invalid_argument on bad sizes.
+/// Builds the rank -> slot map folding `width` ranks onto `target` slots
+/// (Schedule::foldTo and the executor-side plan folds in exec/elastic.hpp):
+/// LPT packing of whole ranks by their per-superstep work (heaviest total
+/// first, each placed on the slot that grows the folded makespan least),
+/// or p -> p mod target where that folds no worse. Whole-rank maps keep
+/// every fold valid: same-superstep edges are intra-core by Definition 2.1
+/// and therefore stay intra-core. `rank_loads` is the superstep-major
+/// per-(superstep, rank) work table (size num_supersteps * width, e.g.
+/// Schedule::rankLoads); target == width returns the identity without
+/// reading it. Throws std::invalid_argument on bad sizes.
 std::vector<int> foldRankMap(index_t num_supersteps, int width, int target,
-                             FoldPolicy policy,
                              std::span<const weight_t> rank_loads = {});
 
 /// Folded compute makespan of a candidate rank map: sum over supersteps of
-/// the maximum per-slot load — the BSP compute term the fold policies
-/// compete on. `rank_map` has `width` entries in [0, target).
+/// the maximum per-slot load — the BSP compute term a fold is judged by.
+/// `rank_map` has `width` entries in [0, target).
 weight_t foldedMakespan(std::span<const weight_t> rank_loads,
                         index_t num_supersteps, int width, int target,
                         std::span<const int> rank_map);
@@ -83,13 +67,12 @@ class Schedule;
 
 /// Convenience composition of rankLoads + foldRankMap + foldedMakespan:
 /// the folded compute makespan of `schedule` re-targeted to `target` slots
-/// under `policy` (empty `vertex_weights` = unit weights). This is the
-/// analyze-time cost model the serving engine's SLO cold start queries per
-/// candidate team: makespan ratios between targets predict how a solve's
-/// compute time scales with team size before any latency samples exist.
+/// (empty `vertex_weights` = unit weights). This is the analyze-time cost
+/// model the serving engine's SLO cold start queries per candidate team:
+/// makespan ratios between targets predict how a solve's compute time
+/// scales with team size before any latency samples exist.
 /// Throws std::invalid_argument unless 1 <= target <= numCores().
 weight_t foldedMakespanAt(const Schedule& schedule, int target,
-                          FoldPolicy policy,
                           std::span<const weight_t> vertex_weights = {});
 
 /// An immutable (π, σ, order) triple over a DAG's vertices: coreOf(v) is
@@ -139,26 +122,22 @@ class Schedule {
   std::span<const index_t> group(index_t s, int p) const;
 
   /// Re-targets the schedule to `num_cores` <= numCores() processors by
-  /// folding whole ranks onto the smaller width under `policy` (the default
-  /// keeps PR 2's p -> p mod num_cores map). Superstep structure is
-  /// preserved exactly; the folded group (s, q) concatenates the old groups
-  /// (s, p) for every rank p mapped to q, in ascending p, each keeping its
-  /// internal order. Validity is preserved for any rank-granularity map:
-  /// within a superstep every edge is intra-core (Def. 2.1 forbids
-  /// same-superstep cross-core edges), so merging cores cannot break the
-  /// in-group execution order, and cross-superstep edges only ever become
-  /// intra-core, which is strictly weaker to satisfy. `vertex_weights`
-  /// (empty = unit weights) feeds FoldPolicy::kBinPack, which packs ranks
-  /// by per-superstep load instead of blindly by index. Folding to
-  /// numCores() shares this schedule's payload (an O(1) copy, identical
-  /// under every policy); widening throws std::invalid_argument.
-  Schedule foldTo(int num_cores) const;
-  Schedule foldTo(int num_cores, FoldPolicy policy,
+  /// folding whole ranks onto the smaller width by foldRankMap over
+  /// rankLoads(vertex_weights) (empty = unit weights). Superstep structure
+  /// is preserved exactly; the folded group (s, q) concatenates the old
+  /// groups (s, p) for every rank p mapped to q, in ascending p, each
+  /// keeping its internal order. Validity is preserved for any
+  /// rank-granularity map: within a superstep every edge is intra-core
+  /// (Def. 2.1 forbids same-superstep cross-core edges), so merging cores
+  /// cannot break the in-group execution order, and cross-superstep edges
+  /// only ever become intra-core, which is strictly weaker to satisfy.
+  /// Folding to numCores() shares this schedule's payload (an O(1) copy);
+  /// widening throws std::invalid_argument.
+  Schedule foldTo(int num_cores,
                   std::span<const weight_t> vertex_weights = {}) const;
 
   /// The fold workhorse: merges ranks by an explicit `rank_map` (numCores()
-  /// entries in [0, num_cores)). Policies above are map constructions plus
-  /// this.
+  /// entries in [0, num_cores)). foldTo is foldRankMap plus this.
   Schedule foldWith(std::span<const int> rank_map, int num_cores) const;
 
   /// Per-(superstep, rank) work table, superstep-major (size

@@ -139,21 +139,19 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   // throttled grant simply anchors the model at the granted width.
   CoreBudget::Lease cores(budget_, base, min_team);
   const int probe_team = cores.granted();
-  // Probe with the policy the engine will actually serve, on a fresh
-  // context (registration must not race the built-in default context).
-  // The untimed warmup pays the one-time costs — fold-plan build, OpenMP
-  // team spinup, cold matrix — so the timed pass
+  // Probe on a fresh context (registration must not race the built-in
+  // default context). The untimed warmup pays the one-time costs —
+  // fold-plan build, OpenMP team spinup, cold matrix — so the timed pass
   // measures the steady-state solve; a cold probe would overshoot and
   // silently disable the cold start.
-  const core::FoldPolicy policy = solver.options().fold_policy;
   const auto n = static_cast<std::size_t>(solver.numRows());
   std::vector<double> b(n, 1.0);
   std::vector<double> x(n, 0.0);
   auto ctx = solver.createContext();
   STS_TRACE_SPAN1("plan", "seed_probe", "team", probe_team);
-  solver.solve(b, x, *ctx, probe_team, policy);
+  solver.solve(b, x, *ctx, probe_team);
   const auto t0 = std::chrono::steady_clock::now();
-  solver.solve(b, x, *ctx, probe_team, policy);
+  solver.solve(b, x, *ctx, probe_team);
   const double probe =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -164,12 +162,11 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   // for queueing and batching on top of pure compute). Estimates grow
   // monotonically as the team shrinks, so stop at the first violation.
   const auto probe_makespan = static_cast<double>(
-      core::foldedMakespanAt(solver.schedule(), probe_team, policy));
+      core::foldedMakespanAt(solver.schedule(), probe_team));
   if (probe_makespan <= 0.0) return base;
   const auto estimate = [&](int t) {
     return probe *
-           static_cast<double>(
-               core::foldedMakespanAt(solver.schedule(), t, policy)) /
+           static_cast<double>(core::foldedMakespanAt(solver.schedule(), t)) /
            probe_makespan;
   };
   if (estimate(base) > 0.5 * options_.target_p95) return base;
@@ -583,7 +580,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // cannot overlap any concurrent batch's cores (the leases are disjoint)
   // and its folded ranks keep a stable core for the whole batch.
   const bool pin_batch = pin_enabled_ && !cores.cores().empty();
-  const core::FoldPolicy fold_policy = solver.options().fold_policy;
   std::uint64_t pinned_threads = 0;
   std::uint64_t migrated_threads = 0;
   bool tiled_batch = false;
@@ -636,8 +632,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        solver.solveTiles(b_tiles, x_tiles, layout, lease.context(), team,
-                          fold_policy);
+        solver.solveTiles(b_tiles, x_tiles, layout, lease.context(), team);
       }
       {
         STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
@@ -661,7 +656,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
         solver.solveMultiRhs(request.b, x, request.nrhs, lease.context(),
-                             team, fold_policy);
+                             team);
       }
       request.b = std::move(x);
     }
@@ -745,20 +740,22 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     row.unpack_seconds += unpack_elapsed;
   }
 #endif
+  // Quantiles: the cumulative registry histogram. Controller: the
+  // sliding window ring (fills in-order from 0, overwrites oldest), which
+  // only the SLO controller reads.
+  const bool slo_controller = options_.elastic && options_.target_p95 > 0.0;
   for (std::size_t j = 0; j < k; ++j) {
     const double latency =
         std::chrono::duration<double>(t1 - batch[j].submitted).count();
-    // Quantiles: the cumulative registry histogram. Controller: the
-    // sliding window ring (fills in-order from 0, overwrites oldest).
     reg.latency_hist->record(latency);
-    SloWindow& w = reg.slo_window;
-    w.samples[w.next] = latency;
-    w.next = (w.next + 1) % SloWindow::kSize;
-    w.count += 1;
+    if (slo_controller) {
+      SloWindow& w = reg.slo_window;
+      w.samples[w.next] = latency;
+      w.next = (w.next + 1) % SloWindow::kSize;
+      w.count += 1;
+    }
   }
-  if (options_.elastic && options_.target_p95 > 0.0) {
-    updateController(reg, base_team, backlog);
-  }
+  if (slo_controller) updateController(reg, base_team, backlog);
 }
 
 SolverServingStats SolverEngine::stats(SolverId id) const {

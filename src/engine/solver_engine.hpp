@@ -192,7 +192,8 @@ class SolverEngine {
   /// Sliding window of recent request latencies feeding the SLO
   /// controller's p95 (the registry histogram is cumulative — right for
   /// stats quantiles, wrong for a controller that must react to the
-  /// current regime within one window).
+  /// current regime within one window). Written only while the
+  /// controller runs (elastic && target_p95 > 0).
   struct SloWindow {
     static constexpr std::size_t kSize = 64;
     std::array<double, kSize> samples{};
@@ -292,9 +293,9 @@ class SolverEngine {
       STS_REQUIRES(reg.stats_mu);
   /// SLO cold start (elastic + target_p95 only): estimate the per-solve
   /// cost at registration — one warmed probe solve on a budget-leased
-  /// team (never oversubscribing concurrent batches) with the fold policy
-  /// the engine will serve, scaled to other teams by the
-  /// schedule's folded-makespan ratios (core::foldedMakespanAt) — and
+  /// team (never oversubscribing concurrent batches), scaled to other
+  /// teams by the schedule's folded-makespan ratios
+  /// (core::foldedMakespanAt, unit weights) — and
   /// return the smallest power-of-two step of the controller's lattice
   /// whose estimate still fits inside half the p95 target (headroom for
   /// queueing). The first window is then served at a width the target can

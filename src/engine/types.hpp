@@ -87,8 +87,8 @@ class EngineError : public std::runtime_error {
 
 /// ## How the adaptive options interact
 ///
-/// `fold_policy` (exec::SolverOptions), `target_p95`, `core_budget`,
-/// `core_set`, and `pin_threads` compose; each owns one decision:
+/// `target_p95`, `core_budget`, `core_set`, and `pin_threads` compose;
+/// each owns one decision:
 ///
 /// | Option                 | Decides                 | Interaction |
 /// |------------------------|-------------------------|-------------|
@@ -97,17 +97,16 @@ class EngineError : public std::runtime_error {
 /// | `core_budget`          | HOW MANY cores all batches may hold in aggregate | the chosen (desired) team is capped by the grant; grants below desire count as `budget_throttled_batches`. 0 = unlimited. |
 /// | `core_set`             | WHICH cores back the budget | non-empty switches CoreBudget to core-set mode: grants are explicit disjoint CPU ids; `core_budget` > 0 additionally truncates the set to its first `core_budget` ids |
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
-/// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
 /// | `overload_control`     | WHETHER the overload latch runs | off (default): nothing is rejected by pressure. on: an `OverloadController` estimates queue delay from the queued depth, counted in batches of the coalescing cap, x the registry's batch-latency p50 (and the oldest queued wait — `queueDelayEstimate`); once it reaches `overload_target_delay` the latch engages and rejects new throughput-class submissions (latency-class work is still admitted) until the delay falls to (1 - `overload_hysteresis`) x target. Every admitted batch still runs the exact executors. Each flip is an `overload_step` trace instant; admissions and refusals count in `sts.engine.admitted/rejected/expired/overload_steps` |
 /// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per team; executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
 ///
 /// Pipeline per batch: elastic policy picks a DESIRED width → CoreBudget
-/// grants an actual width (and, in core-set mode, which cores) →
-/// `fold_policy` folds the schedule onto that width (the folded plan walks
-/// the analyzed CSR) → `pin_threads` nails each team member to its leased
-/// core. Every stage is bitwise-lossless, so all the options can be
-/// toggled freely in production.
+/// grants an actual width (and, in core-set mode, which cores) → the
+/// solver folds the schedule onto that width by core::foldRankMap (the
+/// folded plan walks the analyzed CSR) → `pin_threads` nails each team
+/// member to its leased core. Every stage is bitwise-lossless, so all the
+/// options can be toggled freely in production.
 struct EngineOptions {
   /// Persistent dispatcher threads executing batches. Each concurrent
   /// batch additionally spins up the solver's own OpenMP team, so the

@@ -177,8 +177,7 @@ FoldedRanges foldRanges(std::span<const offset_t> group_ptr, index_t steps,
 BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
     : lower_(lower),
       num_threads_(schedule.numCores()),
-      num_supersteps_(schedule.numSupersteps()),
-      default_ctx_(schedule.numCores(), lower.rows()) {
+      num_supersteps_(schedule.numSupersteps()) {
   requireSolvableLower(lower);
   if (schedule.numVertices() != lower.rows()) {
     throw std::invalid_argument("BspExecutor: schedule/matrix size mismatch");
@@ -200,53 +199,35 @@ BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
   folded_.init(num_threads_, &full_);
 }
 
-const FoldedLists& BspExecutor::foldedPlan(int team,
-                                           core::FoldPolicy policy) const {
-  return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
+const FoldedLists& BspExecutor::foldedPlan(int team) const {
+  return folded_.get(team, [this](int t) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
-        core::foldRankMap(num_supersteps_, num_threads_, t, p, rank_loads_);
+        core::foldRankMap(num_supersteps_, num_threads_, t, rank_loads_);
     return detail::foldThreadLists(full_.verts, full_.step_ptr,
                                    num_supersteps_, t, map);
   });
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const {
+                        SolveContext& ctx, int team) const {
   requireVectorSizes(lower_, b, x, "BspExecutor::solve");
   detail::requireTeamSize(team, num_threads_, "BspExecutor::solve");
   ctx.requireShape(team, lower_.rows(), "BspExecutor::solve");
-  walkVector(lower_, foldedPlan(team, policy), b, x, ctx, team,
-             num_supersteps_);
-}
-
-void BspExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team) const {
-  solve(b, x, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void BspExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx) const {
-  solve(b, x, ctx, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void BspExecutor::solve(std::span<const double> b, std::span<double> x) const {
-  solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
+  walkVector(lower_, foldedPlan(team), b, x, ctx, team, num_supersteps_);
 }
 
 void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
-                                     SolveContext& ctx, int team,
-                                     core::FoldPolicy policy) const {
+                                     SolveContext& ctx, int team) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "BspExecutor::solveMultiRhsTiled");
   detail::requireTeamSize(team, num_threads_,
                           "BspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
-  walkTiles(lower_, foldedPlan(team, policy), makeTileViews(layout, b, x),
-            ctx, team, num_supersteps_);
+  walkTiles(lower_, foldedPlan(team), makeTileViews(layout, b, x), ctx, team,
+            num_supersteps_);
 }
 
 ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
@@ -256,8 +237,7 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
     : lower_(permuted_lower),
       num_supersteps_(num_supersteps),
       num_threads_(num_cores),
-      group_ptr_(std::move(group_ptr)),
-      default_ctx_(num_cores, permuted_lower.rows()) {
+      group_ptr_(std::move(group_ptr)) {
   requireSolvableLower(permuted_lower);
   const size_t groups = static_cast<size_t>(num_supersteps) *
                         static_cast<size_t>(num_cores);
@@ -281,56 +261,37 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
   folded_.init(num_threads_, &full_);
 }
 
-const FoldedRanges& ContiguousBspExecutor::foldedPlan(
-    int team, core::FoldPolicy policy) const {
-  return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
+const FoldedRanges& ContiguousBspExecutor::foldedPlan(int team) const {
+  return folded_.get(team, [this](int t) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
-        core::foldRankMap(num_supersteps_, num_threads_, t, p, rank_loads_);
+        core::foldRankMap(num_supersteps_, num_threads_, t, rank_loads_);
     return foldRanges(group_ptr_, num_supersteps_, num_threads_, t, map);
   });
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
                                   std::span<double> x, SolveContext& ctx,
-                                  int team, core::FoldPolicy policy) const {
+                                  int team) const {
   requireVectorSizes(lower_, b, x, "ContiguousBspExecutor::solve");
   detail::requireTeamSize(team, num_threads_, "ContiguousBspExecutor::solve");
   ctx.requireShape(team, lower_.rows(), "ContiguousBspExecutor::solve");
-  walkVector(lower_, foldedPlan(team, policy), b, x, ctx, team,
-             num_supersteps_);
-}
-
-void ContiguousBspExecutor::solve(std::span<const double> b,
-                                  std::span<double> x, SolveContext& ctx,
-                                  int team) const {
-  solve(b, x, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solve(std::span<const double> b,
-                                  std::span<double> x,
-                                  SolveContext& ctx) const {
-  solve(b, x, ctx, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solve(std::span<const double> b,
-                                  std::span<double> x) const {
-  solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
+  walkVector(lower_, foldedPlan(team), b, x, ctx, team, num_supersteps_);
 }
 
 void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
                                                std::span<double> x,
                                                const TileLayout& layout,
-                                               SolveContext& ctx, int team,
-                                               core::FoldPolicy policy) const {
+                                               SolveContext& ctx,
+                                               int team) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "ContiguousBspExecutor::solveMultiRhsTiled");
   detail::requireTeamSize(team, num_threads_,
                           "ContiguousBspExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(),
                    "ContiguousBspExecutor::solveMultiRhsTiled");
-  walkTiles(lower_, foldedPlan(team, policy), makeTileViews(layout, b, x),
-            ctx, team, num_supersteps_);
+  walkTiles(lower_, foldedPlan(team), makeTileViews(layout, b, x), ctx, team,
+            num_supersteps_);
 }
 
 }  // namespace sts::exec

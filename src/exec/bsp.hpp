@@ -22,18 +22,16 @@
 ///
 /// Reentrancy contract (see solve_context.hpp): executors are immutable
 /// after construction; the only per-solve mutable state is the superstep
-/// barrier, which lives in the SolveContext. The context-taking overloads
-/// are `const` and safe to call concurrently as long as every concurrent
-/// solve uses its own context. The context-free overloads run on a shared
-/// built-in context and therefore remain one-solve-at-a-time.
+/// barrier, which lives in the SolveContext. Both entry points are `const`
+/// and safe to call concurrently as long as every concurrent solve uses
+/// its own context.
 ///
-/// Elasticity: every context-taking overload accepts a per-solve `team`
-/// size 1 <= team <= numThreads() and optionally a core::FoldPolicy
-/// selecting the rank map (kModulo: p -> p mod team; kBinPack: LPT packing
-/// of whole ranks by per-superstep nnz load — see elastic.hpp). Results
-/// are bitwise equal to the full-width solve under every policy. Folded
-/// plans are cached per (team size, policy) — construction cost is paid
-/// once, concurrent solves at mixed team sizes and policies are safe.
+/// Elasticity: every solve takes a `team` size 1 <= team <= numThreads()
+/// and runs the schedule folded onto that many members by
+/// core::foldRankMap over the per-(superstep, rank) nnz loads (see
+/// elastic.hpp). Results are bitwise equal to the full-width solve. Folded
+/// plans are cached per team size — construction cost is paid once, and
+/// concurrent solves at mixed team sizes are safe.
 
 namespace sts::exec {
 
@@ -64,18 +62,11 @@ class BspExecutor {
   BspExecutor(const CsrMatrix& lower, const Schedule& schedule);
 
   /// x = L^{-1} b on a `team`-thread OpenMP team (the schedule folded to
-  /// `team` ranks under `policy`); `ctx` carries the superstep barrier.
-  /// Concurrent solves need distinct contexts. Throws
-  /// std::invalid_argument unless 1 <= team <= numThreads().
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy) const;
+  /// `team` ranks); `ctx` carries the superstep barrier. Concurrent solves
+  /// need distinct contexts. Throws std::invalid_argument unless
+  /// 1 <= team <= numThreads().
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team) const;
-  /// Full-width team.
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx) const;
-  /// Convenience overload on the built-in context (one solve at a time).
-  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Tiled SpTRSM: X = L^{-1} B with B and X packed as `layout` column
   /// tiles (tile.hpp); a one-tile TileLayout(n, nrhs, nrhs) is the
@@ -85,7 +76,7 @@ class BspExecutor {
   /// unpacked result is bitwise equal to solve() on that column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy) const;
+                          int team) const;
 
   /// A fresh context shaped for this executor.
   std::unique_ptr<SolveContext> createContext() const {
@@ -96,10 +87,9 @@ class BspExecutor {
   index_t numSupersteps() const { return num_supersteps_; }
 
  private:
-  /// The folded work lists for (team, policy), cached per key; team ==
-  /// numThreads() shares the unfolded `full_` lists across policies.
-  const detail::FoldedLists& foldedPlan(int team,
-                                        core::FoldPolicy policy) const;
+  /// The folded work lists for `team`, cached per team; team ==
+  /// numThreads() is the unfolded `full_` lists.
+  const detail::FoldedLists& foldedPlan(int team) const;
 
   const CsrMatrix& lower_;
   int num_threads_ = 0;
@@ -108,17 +98,15 @@ class BspExecutor {
   /// boundaries step_ptr[t][s]); also the shared team == numThreads() plan.
   detail::FoldedLists full_;
   /// Per-(superstep, rank) nnz loads of `full_` (superstep-major); feeds
-  /// the kBinPack rank maps.
+  /// the fold rank maps.
   std::vector<core::weight_t> rank_loads_;
   detail::TeamPlanCache<detail::FoldedLists> folded_;
-  /// Backs the context-free overloads; mutable per-solve state only.
-  mutable SolveContext default_ctx_;
 };
 
 /// Executor for the reordered problem (§5): every (superstep, core) group
 /// is a contiguous row range of the permuted matrix, so the work lists are
 /// just range boundaries — the best-locality configuration. Same
-/// reentrancy contract and solve overloads as BspExecutor.
+/// reentrancy contract and entry points as BspExecutor.
 class ContiguousBspExecutor {
  public:
   ContiguousBspExecutor(const CsrMatrix& permuted_lower,
@@ -126,21 +114,16 @@ class ContiguousBspExecutor {
                         std::vector<offset_t> group_ptr);
 
   /// Folded team solve: thread q executes the row ranges of every original
-  /// rank the policy's rank map assigns to q, per superstep. 1 <= team <=
+  /// rank the fold's rank map assigns to q, per superstep. 1 <= team <=
   /// numThreads().
   void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx) const;
-  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Tiled SpTRSM over the row ranges: same contract as
   /// BspExecutor::solveMultiRhsTiled.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy) const;
+                          int team) const;
 
   std::unique_ptr<SolveContext> createContext() const {
     return std::make_unique<SolveContext>(num_threads_, lower_.rows());
@@ -150,26 +133,24 @@ class ContiguousBspExecutor {
   index_t numSupersteps() const { return num_supersteps_; }
 
  private:
-  /// The row ranges for (team, policy): folded member q's superstep-s work
-  /// is a short list of contiguous row runs (one per surviving original
-  /// rank, adjacent runs merged). Must implement the same rank map and
+  /// The row ranges for `team`: folded member q's superstep-s work is a
+  /// short list of contiguous row runs (one per surviving original rank,
+  /// adjacent runs merged). Must implement the same rank map and
   /// concatenation order as Schedule::foldWith / foldThreadLists —
   /// test_elastic pins the implementations to each other. team ==
-  /// numThreads() shares the unfolded `full_` ranges across policies.
-  const detail::FoldedRanges& foldedPlan(int team,
-                                         core::FoldPolicy policy) const;
+  /// numThreads() is the unfolded `full_` ranges.
+  const detail::FoldedRanges& foldedPlan(int team) const;
 
   const CsrMatrix& lower_;
   index_t num_supersteps_ = 0;
   int num_threads_ = 0;
   std::vector<offset_t> group_ptr_;
   /// Per-(superstep, rank) nnz loads of the row ranges (superstep-major);
-  /// feeds the kBinPack rank maps.
+  /// feeds the fold rank maps.
   std::vector<core::weight_t> rank_loads_;
   /// The full-width ranges, one run per non-empty group.
   detail::FoldedRanges full_;
   detail::TeamPlanCache<detail::FoldedRanges> folded_;
-  mutable SolveContext default_ctx_;
 };
 
 }  // namespace sts::exec

@@ -16,10 +16,11 @@
 /// per-thread work lists onto a smaller team (the executor-side image of
 /// core::Schedule::foldTo — folded thread q owns every original rank p with
 /// rank_map[p] == q, supersteps preserved) and a lazily built, immutable
-/// cache of one such plan per (team size, fold policy). Folding is
-/// lossless for any rank-granularity map: the folded execution computes
-/// every row with the same operands in a dependency-respecting order, so
-/// results are bitwise equal to the full-width solve under every policy.
+/// cache of one such plan per team size. The executors fold by
+/// core::foldRankMap over their per-(superstep, rank) row-nnz loads.
+/// Folding is lossless for any rank-granularity map: the folded execution
+/// computes every row with the same operands in a dependency-respecting
+/// order, so results are bitwise equal to the full-width solve.
 
 namespace sts::exec::detail {
 
@@ -46,7 +47,7 @@ FoldedLists foldThreadLists(
 /// (size num_steps * width): the work of vertex v is the stored-entry count
 /// of row v (row_ptr deltas — identical to dag::Dag::fromLowerTriangular
 /// weights for solvable matrices, whose rows are never empty). Feeds
-/// core::foldRankMap's kBinPack policy.
+/// core::foldRankMap.
 std::vector<core::weight_t> threadListLoads(
     const std::vector<std::vector<sts::index_t>>& verts,
     const std::vector<std::vector<sts::offset_t>>& step_ptr,
@@ -61,39 +62,31 @@ inline void requireTeamSize(int team, int width, const char* who) {
   }
 }
 
-/// Lazily built execution plans keyed by (team size, fold policy). Plans
-/// are immutable once published, so the fast path is a single acquire
-/// load; the first solve at a given key builds the plan under a mutex
-/// (concurrent solves at other keys proceed on their published plans
-/// meanwhile — only concurrent *builds* serialize). The full-width plan is
-/// identical under every policy (folding onto the full width merges
-/// nothing), so init() can register one caller-owned unfolded plan that
-/// every (max_team, policy) slot shares instead of duplicating it.
+/// Lazily built execution plans, one per team size. Plans are immutable
+/// once published, so the fast path is a single acquire load; the first
+/// solve at a given team builds the plan under a mutex (concurrent solves
+/// at other teams proceed on their published plans meanwhile — only
+/// concurrent *builds* serialize). init() can register one caller-owned
+/// unfolded plan for the full width instead of building a copy of it.
 template <typename Plan>
 class TeamPlanCache {
  public:
-  /// Sizes the cache for team sizes 1..max_team across all fold policies.
-  /// `full_width`, when given, is published (non-owning) for team ==
-  /// max_team under every policy; it must outlive the cache. Call once,
-  /// from the executor constructor, before any concurrent use.
+  /// Sizes the cache for team sizes 1..max_team. `full_width`, when given,
+  /// is published (non-owning) for team == max_team; it must outlive the
+  /// cache. Call once, from the executor constructor, before any
+  /// concurrent use.
   void init(int max_team, const Plan* full_width = nullptr) {
-    const auto teams = static_cast<std::size_t>(max_team) + 1;
-    slots_ = std::make_unique<Slot[]>(
-        teams * static_cast<std::size_t>(core::kNumFoldPolicies));
-    max_team_ = max_team;
+    slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(max_team) + 1);
     if (full_width != nullptr) {
-      for (int policy = 0; policy < core::kNumFoldPolicies; ++policy) {
-        slots_[slotIndex(max_team, static_cast<core::FoldPolicy>(policy))]
-            .published.store(full_width, std::memory_order_release);
-      }
+      slots_[static_cast<std::size_t>(max_team)].published.store(
+          full_width, std::memory_order_release);
     }
   }
 
-  /// The plan for (team, policy), building via `build(team, policy)` on
-  /// first request.
+  /// The plan for `team`, building via `build(team)` on first request.
   template <typename BuildFn>
-  const Plan& get(int team, core::FoldPolicy policy, BuildFn&& build) const {
-    Slot& slot = slots_[slotIndex(team, policy)];
+  const Plan& get(int team, BuildFn&& build) const {
+    Slot& slot = slots_[static_cast<std::size_t>(team)];
     if (const Plan* plan = slot.published.load(std::memory_order_acquire)) {
       return *plan;
     }
@@ -101,18 +94,12 @@ class TeamPlanCache {
     if (const Plan* plan = slot.published.load(std::memory_order_relaxed)) {
       return *plan;
     }
-    slot.owned = std::make_unique<const Plan>(build(team, policy));
+    slot.owned = std::make_unique<const Plan>(build(team));
     slot.published.store(slot.owned.get(), std::memory_order_release);
     return *slot.owned;
   }
 
  private:
-  std::size_t slotIndex(int team, core::FoldPolicy policy) const {
-    return static_cast<std::size_t>(policy) *
-               (static_cast<std::size_t>(max_team_) + 1) +
-           static_cast<std::size_t>(team);
-  }
-
   /// `published` is the lock-free read path (acquire/release pairing with
   /// the build under mu_); `owned` is the slot's storage, written only
   /// with mu_ held. The analysis cannot tie a nested struct's member to
@@ -126,7 +113,6 @@ class TeamPlanCache {
   };
   mutable base::Mutex mu_;
   std::unique_ptr<Slot[]> slots_;
-  int max_team_ = 0;
 };
 
 }  // namespace sts::exec::detail

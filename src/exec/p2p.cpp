@@ -42,8 +42,7 @@ P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
                          const Dag& sync_dag)
     : lower_(lower),
       num_threads_(schedule.numCores()),
-      num_supersteps_(schedule.numSupersteps()),
-      default_ctx_(schedule.numCores(), lower.rows()) {
+      num_supersteps_(schedule.numSupersteps()) {
   requireSolvableLower(lower);
   const index_t n = lower.rows();
   if (schedule.numVertices() != n || sync_dag.numVertices() != n) {
@@ -90,12 +89,11 @@ P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
   cross_deps_ = wait_ptr_.back();
 }
 
-const detail::FoldedLists& P2pExecutor::foldedPlan(
-    int team, core::FoldPolicy policy) const {
-  return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
+const detail::FoldedLists& P2pExecutor::foldedPlan(int team) const {
+  return folded_.get(team, [this](int t) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
-        core::foldRankMap(num_supersteps_, num_threads_, t, p, rank_loads_);
+        core::foldRankMap(num_supersteps_, num_threads_, t, rank_loads_);
     return detail::foldThreadLists(full_.verts, full_.step_ptr,
                                    num_supersteps_, t, map);
   });
@@ -141,8 +139,7 @@ void P2pExecutor::pass(const detail::FoldedLists& plan, SolveContext& ctx,
 }
 
 void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const {
+                        SolveContext& ctx, int team) const {
   detail::requireVectorSizes(lower_, b, x, "P2pExecutor::solve");
   detail::requireTeamSize(team, num_threads_, "P2pExecutor::solve");
   ctx.requireShape(team, lower_.rows(), "P2pExecutor::solve");
@@ -151,36 +148,21 @@ void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
   const auto values = lower_.values();
   // The kernel's spans are captured by value, as in the BSP walker
   // (bsp.cpp), so the nnz loop keeps them in registers.
-  pass(foldedPlan(team, policy), ctx, team, [=](index_t i) {
+  pass(foldedPlan(team), ctx, team, [=](index_t i) {
     detail::computeRow(row_ptr, col_idx, values, b, x, i);
   });
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team) const {
-  solve(b, x, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx) const {
-  solve(b, x, ctx, num_threads_);
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x) const {
-  solve(b, x, default_ctx_, num_threads_);
 }
 
 void P2pExecutor::solveMultiRhsTiled(std::span<const double> b,
                                      std::span<double> x,
                                      const TileLayout& layout,
-                                     SolveContext& ctx, int team,
-                                     core::FoldPolicy policy) const {
+                                     SolveContext& ctx, int team) const {
   requireTileShapes(lower_.rows(), layout, b, x,
                     "P2pExecutor::solveMultiRhsTiled");
   detail::requireTeamSize(team, num_threads_,
                           "P2pExecutor::solveMultiRhsTiled");
   ctx.requireShape(team, lower_.rows(), "P2pExecutor::solveMultiRhsTiled");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
+  const detail::FoldedLists& plan = foldedPlan(team);
   const auto row_ptr = lower_.rowPtr();
   const auto col_idx = lower_.colIdx();
   const auto values = lower_.values();

@@ -22,16 +22,13 @@
 ///
 /// Reentrancy contract (see solve_context.hpp): the executor is immutable
 /// after construction; the epoch counter and completion flags live in the
-/// SolveContext, so concurrent solves with distinct contexts are safe. The
-/// context-free overloads share a built-in context and remain
-/// one-solve-at-a-time.
+/// SolveContext, so concurrent solves with distinct contexts are safe.
 ///
-/// Elasticity: the context-taking overloads accept a per-solve `team` size
-/// and optionally a core::FoldPolicy; the vertex lists fold by the
-/// policy's rank map (superstep-major order preserved) while the wait
-/// lists stay fixed — a dependency whose source folds onto the waiter's
-/// own thread is computed earlier in that thread's list, so its spin
-/// resolves immediately. Deadlock freedom carries over for any
+/// Elasticity: both entry points take a per-solve `team` size; the vertex
+/// lists fold by core::foldRankMap (superstep-major order preserved)
+/// while the wait lists stay fixed — a dependency whose source folds onto
+/// the waiter's own thread is computed earlier in that thread's list, so
+/// its spin resolves immediately. Deadlock freedom carries over for any
 /// rank-granularity map because folded cross-thread parents still sit in
 /// strictly earlier supersteps.
 
@@ -56,12 +53,7 @@ class P2pExecutor {
   /// epoch-stamped completion flags. Concurrent solves need distinct
   /// contexts. 1 <= team <= numThreads().
   void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx) const;
-  void solve(std::span<const double> b, std::span<double> x) const;
 
   /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp);
   /// a one-tile TileLayout(n, nrhs, nrhs) is the row-major n x nrhs block.
@@ -73,7 +65,7 @@ class P2pExecutor {
   /// equal to solve() on that column.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy) const;
+                          int team) const;
 
   std::unique_ptr<SolveContext> createContext() const {
     return std::make_unique<SolveContext>(num_threads_, lower_.rows());
@@ -86,8 +78,7 @@ class P2pExecutor {
   offset_t numCrossDependencies() const { return cross_deps_; }
 
  private:
-  const detail::FoldedLists& foldedPlan(int team,
-                                        core::FoldPolicy policy) const;
+  const detail::FoldedLists& foldedPlan(int team) const;
   /// The executor's one parallel region: a dependency-resolved pass over
   /// `plan` under a fresh epoch, in which each member runs `row(i)` on its
   /// vertices once their cross-thread parents are done (p2p.cpp).
@@ -104,15 +95,13 @@ class P2pExecutor {
   /// boundaries kept so the lists can fold onto smaller teams
   /// (elastic.hpp); also the shared team == numThreads() plan.
   detail::FoldedLists full_;
-  /// Per-(superstep, rank) nnz loads of `full_` for kBinPack rank maps.
+  /// Per-(superstep, rank) nnz loads of `full_` for the fold rank maps.
   std::vector<core::weight_t> rank_loads_;
   /// wait_list of vertex v: cross-thread parents in the sync DAG, stored
   /// flat: wait_adj_[wait_ptr_[v] .. wait_ptr_[v+1]).
   std::vector<offset_t> wait_ptr_;
   std::vector<index_t> wait_adj_;
   detail::TeamPlanCache<detail::FoldedLists> folded_;
-
-  mutable SolveContext default_ctx_;
 };
 
 }  // namespace sts::exec

@@ -41,9 +41,10 @@
 ///     the pin set follows the same one-solve-at-a-time rule as the rest of
 ///     the context state.
 ///
-/// The context-free `solve(b, x)` overloads run on a built-in default
-/// context and therefore keep the historical one-solve-at-a-time
-/// restriction; they exist so single-stream callers need no ceremony.
+/// TriangularSolver's context-free `solve(b, x)` overloads run on a
+/// built-in default context and therefore keep the historical
+/// one-solve-at-a-time restriction; they exist so single-stream callers
+/// need no ceremony. The executors have no such overloads.
 class SolveContextTestPeer;
 
 namespace sts::obs {

@@ -218,14 +218,13 @@ std::unique_ptr<SolveContext> TriangularSolver::createContext() const {
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads,
-                             core::FoldPolicy policy) const {
+                             SolveContext& ctx, int threads) const {
   if (static_cast<index_t>(b.size()) != n_ ||
       static_cast<index_t>(x.size()) != n_) {
     throw std::invalid_argument("TriangularSolver::solve: size mismatch");
   }
   if (!permuted_) {
-    solvePermuted(b, x, ctx, threads, policy);
+    solvePermuted(b, x, ctx, threads);
     return;
   }
   const int team = clampTeam(threads);
@@ -233,13 +232,8 @@ void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
   const auto b_int = ctx.bScratch(n);
   const auto x_int = ctx.xScratch(n);
   gatherVector(total_new_to_old_, b, b_int, ctx, team);
-  solvePermuted(b_int, x_int, ctx, team, policy);
+  solvePermuted(b_int, x_int, ctx, team);
   gatherVector(old_to_new_, x_int, x, ctx, team);
-}
-
-void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads) const {
-  solve(b, x, ctx, threads, options_.fold_policy);
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
@@ -254,8 +248,7 @@ void TriangularSolver::solve(std::span<const double> b,
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
                                      std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads,
-                                     core::FoldPolicy policy) const {
+                                     SolveContext& ctx, int threads) const {
   const auto n = static_cast<size_t>(n_);
   if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
       x.size() != b.size()) {
@@ -279,14 +272,8 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
                       r, w});
   }
   gatherRows(total_new_to_old_, pack, ctx, team);
-  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy);
+  solveTiles(b_tiled, x_tiled, layout, ctx, team);
   gatherRows(old_to_new_, unpack, ctx, team);
-}
-
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads) const {
-  solveMultiRhs(b, x, nrhs, ctx, threads, options_.fold_policy);
 }
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
@@ -346,31 +333,28 @@ void TriangularSolver::unpackTiles(std::span<const double> x_tiled,
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   std::span<double> x_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
-                                  int threads,
-                                  core::FoldPolicy policy) const {
+                                  int threads) const {
   if (layout.cols() == 1) {
     // A width-1 tile is the internal-order vector itself: the vector
     // kernel beats the register-blocked tiled one at a single column.
     requireTileShapes(n_, layout, b_tiled, x_tiled,
                       "TriangularSolver::solveTiles");
-    solvePermuted(b_tiled, x_tiled, ctx, threads, policy);
+    solvePermuted(b_tiled, x_tiled, ctx, threads);
     return;
   }
   const int team = clampTeam(threads);
   if (contiguous_) {
-    contiguous_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team,
-                                    policy);
+    contiguous_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team);
   } else if (p2p_) {
-    p2p_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy);
+    p2p_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team);
   } else {
-    bsp_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy);
+    bsp_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team);
   }
 }
 
 void TriangularSolver::solvePermuted(std::span<const double> b,
                                      std::span<double> x, SolveContext& ctx,
-                                     int threads,
-                                     core::FoldPolicy policy) const {
+                                     int threads) const {
   if (static_cast<index_t>(b.size()) != n_ ||
       static_cast<index_t>(x.size()) != n_) {
     throw std::invalid_argument(
@@ -378,18 +362,12 @@ void TriangularSolver::solvePermuted(std::span<const double> b,
   }
   const int team = clampTeam(threads);
   if (contiguous_) {
-    contiguous_->solve(b, x, ctx, team, policy);
+    contiguous_->solve(b, x, ctx, team);
   } else if (p2p_) {
-    p2p_->solve(b, x, ctx, team, policy);
+    p2p_->solve(b, x, ctx, team);
   } else {
-    bsp_->solve(b, x, ctx, team, policy);
+    bsp_->solve(b, x, ctx, team);
   }
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x, SolveContext& ctx,
-                                     int threads) const {
-  solvePermuted(b, x, ctx, threads, options_.fold_policy);
 }
 
 void TriangularSolver::solvePermuted(std::span<const double> b,
@@ -406,22 +384,21 @@ void TriangularSolver::solvePermuted(std::span<const double> b,
 void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
                                           std::span<double> x, index_t nrhs,
                                           SolveContext& ctx, int threads,
-                                          core::FoldPolicy policy,
+                                          FoldPolicy /*policy*/,
                                           StorageKind /*storage*/) const {
-  solveMultiRhs(b, x, nrhs, ctx, threads, policy);
+  solveMultiRhs(b, x, nrhs, ctx, threads);
 }
 
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   std::span<double> x_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
-                                  int threads, core::FoldPolicy policy,
+                                  int threads, FoldPolicy /*policy*/,
                                   StorageKind /*storage*/) const {
-  solveTiles(b_tiled, x_tiled, layout, ctx, threads, policy);
+  solveTiles(b_tiled, x_tiled, layout, ctx, threads);
 }
 
 std::size_t TriangularSolver::storageBytesMoved(
-    int /*threads*/, core::FoldPolicy /*policy*/,
-    StorageKind /*storage*/) const {
+    int /*threads*/, FoldPolicy /*policy*/, StorageKind /*storage*/) const {
   return csrBytesMoved(matrix_->rows(), matrix_->nnz());
 }
 

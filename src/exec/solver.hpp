@@ -42,13 +42,10 @@
 /// The analyzed schedule is re-targetable: every context-taking solve also
 /// accepts a per-solve team size `threads`, 1 <= threads <= numThreads(),
 /// executing the schedule folded onto that many OpenMP threads
-/// (Schedule::foldTo; folded work lists are cached per (team size, fold
-/// policy) inside the executors). How ranks map onto the smaller team is a
-/// core::FoldPolicy — SolverOptions::fold_policy sets the solver-wide
-/// default (kModulo preserves historical behavior; kBinPack LPT-packs
-/// whole ranks by per-superstep work, cutting folded imbalance), and every
-/// team-taking overload has a sibling taking an explicit policy. Folding
-/// is lossless under every policy — results are bitwise equal to the
+/// (Schedule::foldTo; folded work lists are cached per team size inside
+/// the executors). Ranks map onto the smaller team by core::foldRankMap,
+/// which LPT-packs whole ranks by per-superstep work and is never worse
+/// than p mod t. Folding is lossless — results are bitwise equal to the
 /// full-width solve for every team size and scheduler kind. Overloads
 /// without an explicit team run at defaultTeam(): numThreads() clamped to
 /// the host's hardware concurrency, so analyzing for more threads than the
@@ -107,13 +104,12 @@ struct SolverOptions {
   core::GrowLocalOptions growlocal;
   /// Validate the schedule during analysis (O(V+E); cheap insurance).
   bool validate = true;
-  /// Default rank map for elastic (folded-team) solves; overloads taking an
-  /// explicit core::FoldPolicy override it per solve. kModulo keeps PR 2's
-  /// p mod t fold; kBinPack packs ranks by per-superstep load.
-  core::FoldPolicy fold_policy = core::FoldPolicy::kModulo;
+  /// The rank map of folded-team solves: core::foldRankMap, always. Not a
+  /// setting, like `storage` below; both stay readable so that callers
+  /// passing them to the forwards below keep compiling.
+  static constexpr FoldPolicy fold_policy = FoldPolicy::kBinPack;
   /// The matrix layout every solve walks: the analyzed CSR, always
-  /// (storage.hpp). Not a setting; it stays readable so that callers
-  /// passing it to the StorageKind forwards below keep compiling.
+  /// (storage.hpp).
   static constexpr StorageKind storage = StorageKind::kSharedCsr;
   /// RHS column-tile width of the tiled multi-RHS path (tile.hpp); 0 sizes
   /// it automatically from the detected cache geometry (pickTileCols,
@@ -145,11 +141,8 @@ class TriangularSolver {
   /// x = T^{-1} b in the ORIGINAL row ordering (permutations are internal).
   /// The context overload is safe to call concurrently with any other
   /// context-carrying solve on this instance. `threads` selects the
-  /// per-solve team and `policy` the fold rank map (elasticity contract
-  /// above); overloads without them run at defaultTeam() under
-  /// options().fold_policy.
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int threads, core::FoldPolicy policy) const;
+  /// per-solve team (elasticity contract above); overloads without it run
+  /// at defaultTeam().
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int threads) const;
   void solve(std::span<const double> b, std::span<double> x,
@@ -165,9 +158,6 @@ class TriangularSolver {
   /// tileLayout(nrhs): one parallel gather each way (gather.hpp) both
   /// permutes and packs or unpacks every tile, around solveTiles.
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int threads,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int threads) const;
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx) const;
@@ -181,8 +171,8 @@ class TriangularSolver {
   /// one-column layout is the internal-order vector and runs solvePermuted,
   /// whose vector kernel beats the tiled one at nrhs = 1.
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
-                  const TileLayout& layout, SolveContext& ctx, int threads,
-                  core::FoldPolicy policy) const;
+                  const TileLayout& layout, SolveContext& ctx,
+                  int threads) const;
 
   /// solveTiles' b side for callers holding one ORIGINAL-order vector per
   /// right-hand side: column j of `layout` (layout.cols() == b.size(), each
@@ -211,26 +201,23 @@ class TriangularSolver {
   /// that solve() runs around it. Identical to solve() when no permutation
   /// was applied.
   void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx, int threads,
-                     core::FoldPolicy policy) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x,
                      SolveContext& ctx, int threads) const;
   void solvePermuted(std::span<const double> b, std::span<double> x,
                      SolveContext& ctx) const;
   void solvePermuted(std::span<const double> b, std::span<double> x) const;
 
-  // Forwards for callers that still pass a StorageKind: bench/ledger's
-  // three call sites. Each ignores it, and solveMultiRhsTiled is
-  // solveMultiRhs. Drop the block once a change of its own moves those
-  // call sites to the storage-free overloads above.
+  // Forwards for callers that still pass a FoldPolicy and a StorageKind:
+  // bench/ledger's three call sites. Each ignores both, and
+  // solveMultiRhsTiled is solveMultiRhs. Drop the block once a change of
+  // its own moves those call sites to the overloads above.
   void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
                           index_t nrhs, SolveContext& ctx, int threads,
-                          core::FoldPolicy policy, StorageKind storage) const;
+                          FoldPolicy policy, StorageKind storage) const;
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
                   const TileLayout& layout, SolveContext& ctx, int threads,
-                  core::FoldPolicy policy, StorageKind storage) const;
+                  FoldPolicy policy, StorageKind storage) const;
   /// Matrix bytes of one full sweep of the CSR: csrBytesMoved(n, nnz).
-  std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
+  std::size_t storageBytesMoved(int threads, FoldPolicy policy,
                                 StorageKind storage) const;
 
   /// new_to_old map of the internal order (identity when not permuted).

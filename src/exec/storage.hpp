@@ -6,14 +6,19 @@
 /// (superstep, core) group is a contiguous row range of that matrix, which
 /// already gives each thread a streaming walk over its own rows.
 ///
-/// One value is left. It remains only so that callers still spelling
-/// SolverOptions::storage and the StorageKind-taking facade forwards keep
-/// compiling; both go once those callers move to the storage-free calls.
+/// One value is left of each enum below. They remain only so that callers
+/// still spelling SolverOptions::storage, SolverOptions::fold_policy and
+/// the facade forwards taking both keep compiling; they go once those
+/// callers move to the forward-free calls.
 
 namespace sts::exec {
 
 enum class StorageKind {
   kSharedCsr = 0,  ///< walk the analyzed CSR through row_ptr/col_idx
+};
+
+enum class FoldPolicy {
+  kBinPack = 0,  ///< core::foldRankMap, the only fold
 };
 
 }  // namespace sts::exec

@@ -13,17 +13,16 @@
 
 /// \file test_check.cpp
 /// The invariant validators (src/check/) from both sides of the contract:
-/// every shipped construction path — all schedulers, both fold policies,
+/// every shipped construction path — all schedulers, the fold rank maps,
 /// and the folded work lists the executors walk — validates clean, and
-/// hand-crafted violations of
-/// each invariant are rejected with a diagnostic naming the offender.
+/// hand-crafted violations of each invariant are rejected with a
+/// diagnostic naming the offender.
 /// The rejection tests are the interesting half: a validator that accepts
 /// everything also "passes" the clean sweep.
 
 namespace sts {
 namespace {
 
-using core::FoldPolicy;
 using core::Schedule;
 using dag::Dag;
 using exec::SchedulerKind;
@@ -226,13 +225,14 @@ TEST(CheckCoreGrants, RejectsOverlapForeignAndDuplicateCores) {
 
 // ------------------------------------------------------------- clean sweep
 
-/// Every shipped scheduler × both fold policies × every team size, audited
-/// at every pipeline stage: the analyzed schedule (Def. 2.1), the folded
-/// schedule, the fold rank map (bijectivity), and the folded work lists
-/// (the execution artifact). This is the positive half of the contract;
+/// Every shipped scheduler × every team size × two rank maps (foldRankMap's
+/// and the p mod t map it is held against), audited at every pipeline
+/// stage: the analyzed schedule (Def. 2.1), the fold rank map
+/// (bijectivity), the folded schedule, and the folded work lists (the
+/// execution artifact). This is the positive half of the contract;
 /// STS_CHECKS=ON builds run the same validators inside the construction
 /// paths.
-TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndWorkLists) {
+TEST(CheckCleanSweep, AllSchedulersFoldMapsAndWorkLists) {
   const std::vector<sparse::CsrMatrix> matrices = {
       datagen::grid2dLaplacian5(8, 8).lowerTriangle(),
       datagen::erdosRenyiLower({.n = 160, .p = 3e-2, .seed = 11}),
@@ -243,8 +243,6 @@ TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndWorkLists) {
       SchedulerKind::kSpmp,      SchedulerKind::kBspList,
       SchedulerKind::kSerial,
   };
-  const FoldPolicy policies[] = {FoldPolicy::kModulo, FoldPolicy::kBinPack};
-
   for (const auto& lower : matrices) {
     const Dag dag = Dag::fromLowerTriangular(lower);
     for (const SchedulerKind kind : kinds) {
@@ -264,14 +262,18 @@ TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndWorkLists) {
       const int width = sched.numCores();
       const auto loads = sched.rankLoads();
       const FoldedLists lists = fullLists(sched);
-      for (const FoldPolicy policy : policies) {
-        for (int team = 1; team <= width; ++team) {
-          const auto rank_map = core::foldRankMap(
-              sched.numSupersteps(), width, team, policy, loads);
+      for (int team = 1; team <= width; ++team) {
+        std::vector<int> modulo(static_cast<size_t>(width));
+        for (int p = 0; p < width; ++p) {
+          modulo[static_cast<size_t>(p)] = p % team;
+        }
+        const auto packed =
+            core::foldRankMap(sched.numSupersteps(), width, team, loads);
+        for (const auto& rank_map : {packed, modulo}) {
           auto result = check::validateRankMap(width, team, rank_map);
           ASSERT_TRUE(result.ok) << where << ": " << result.message;
 
-          const Schedule folded = sched.foldTo(team, policy);
+          const Schedule folded = sched.foldWith(rank_map, team);
           result = check::validateSchedule(dag, folded);
           ASSERT_TRUE(result.ok) << where << " folded to " << team << ": "
                                  << result.message;

@@ -93,8 +93,11 @@ TEST(ScheduleFold, PreservesValidityForEverySchedulerAndTeam) {
       for (const int cores : {3, 4}) {
         const Schedule full = scheduler.run(d, cores);
         ASSERT_TRUE(validateSchedule(d, full).ok) << scheduler.name;
+        const auto loads = full.rankLoads();
         for (int t = 1; t <= full.numCores(); ++t) {
           const Schedule folded = full.foldTo(t);
+          const auto map = core::foldRankMap(full.numSupersteps(),
+                                             full.numCores(), t, loads);
           EXPECT_EQ(folded.numCores(), t);
           EXPECT_EQ(folded.numSupersteps(), full.numSupersteps())
               << scheduler.name << " fold to " << t
@@ -104,9 +107,10 @@ TEST(ScheduleFold, PreservesValidityForEverySchedulerAndTeam) {
           EXPECT_TRUE(validation.ok)
               << scheduler.name << " folded to " << t << " cores: "
               << validation.message;
-          // Rank map is p -> p mod t.
+          // Whole ranks move by foldRankMap over the unit-weight loads.
           for (index_t v = 0; v < full.numVertices(); ++v) {
-            ASSERT_EQ(folded.coreOf(v), full.coreOf(v) % t);
+            ASSERT_EQ(folded.coreOf(v),
+                      map[static_cast<size_t>(full.coreOf(v))]);
             ASSERT_EQ(folded.superstepOf(v), full.superstepOf(v));
           }
         }
@@ -118,7 +122,8 @@ TEST(ScheduleFold, PreservesValidityForEverySchedulerAndTeam) {
 /// Pins the executor-side fold (elastic.hpp foldThreadLists) to
 /// core::Schedule::foldTo: an executor constructed from the folded
 /// schedule must agree bitwise with the full-width executor solving
-/// elastically at the same team size.
+/// elastically at the same team size. The executors fold by row nnz,
+/// which are the DAG's vertex weights.
 TEST(ScheduleFold, ExecutorFoldMatchesScheduleFold) {
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 8e-3,
                                                .seed = 71});
@@ -128,14 +133,14 @@ TEST(ScheduleFold, ExecutorFoldMatchesScheduleFold) {
   const auto x_true = exec::referenceSolution(lower.rows(), 72);
   const auto b = lower.multiply(x_true);
   const auto n = static_cast<size_t>(lower.rows());
+  auto ctx = exec_full.createContext();
   for (int t = 1; t <= full.numCores(); ++t) {
-    const Schedule folded = full.foldTo(t);
+    const Schedule folded = full.foldTo(t, d.weights());
     const exec::BspExecutor exec_folded(lower, folded);
     std::vector<double> x_elastic(n, 0.0);
     std::vector<double> x_refolded(n, 1.0);
-    auto ctx = exec_full.createContext();
     exec_full.solve(b, x_elastic, *ctx, t);
-    exec_folded.solve(b, x_refolded);
+    exec_folded.solve(b, x_refolded, *ctx, t);
     EXPECT_EQ(x_elastic, x_refolded) << "team " << t;
   }
 }
@@ -214,9 +219,8 @@ TEST(ElasticSolve, FoldedBitwiseEqualsFullWidthEveryKindEveryTeam) {
   }
 }
 
-/// Mixed team sizes and fold policies on one solver, concurrently, each
-/// solve on its own context — the folded-plan caches are built lazily
-/// under contention.
+/// Mixed team sizes on one solver, concurrently, each solve on its own
+/// context — the folded-plan caches are built lazily under contention.
 /// Runs under TSan in CI ("Concurrent" filter).
 TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
   struct SolverCase {
@@ -255,15 +259,11 @@ TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
       threads.emplace_back([&, i] {
         const auto ctx = solver.createContext();
         std::vector<double> x(n, 0.0);
-        // Alternate policies across threads, so kBinPack plan builds race
-        // kModulo ones as well as each other.
-        const auto policy = i % 2 == 0 ? core::FoldPolicy::kModulo
-                                       : core::FoldPolicy::kBinPack;
         for (int r = 0; r < kSolvesPerThread; ++r) {
           // Every thread cycles through all team sizes, so plan builds for
           // each size race on first use.
           const int team = 1 + (i + r) % width;
-          solver.solve(b, x, *ctx, team, policy);
+          solver.solve(b, x, *ctx, team);
           if (x != expected) ++failures[static_cast<size_t>(i)];
         }
       });

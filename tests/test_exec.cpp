@@ -99,7 +99,7 @@ TEST(BspExecutor, BitIdenticalToSerialOnZoo) {
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    exec.solve(b, x_par);
+    exec.solve(b, x_par, *exec.createContext(), exec.numThreads());
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }
@@ -112,8 +112,9 @@ TEST(BspExecutor, RepeatedSolvesAreStable) {
   const auto x_true = referenceSolution(lower.rows(), 83);
   const auto b = rhsFor(lower, x_true);
   std::vector<double> x1(b.size(), 0.0), x2(b.size(), 1.0);
-  exec.solve(b, x1);
-  exec.solve(b, x2);
+  const auto ctx = exec.createContext();
+  exec.solve(b, x1, *ctx, exec.numThreads());
+  exec.solve(b, x2, *ctx, exec.numThreads());
   EXPECT_EQ(x1, x2);
 }
 
@@ -126,7 +127,7 @@ TEST(P2pExecutor, MatchesSerialWithFullSyncDag) {
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    exec.solve(b, x_par);
+    exec.solve(b, x_par, *exec.createContext(), exec.numThreads());
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }
@@ -141,9 +142,10 @@ TEST(P2pExecutor, MatchesSerialWithReducedSyncDag) {
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
     // Repeated solves exercise the epoch mechanism.
+    const auto ctx = exec.createContext();
     for (int rep = 0; rep < 3; ++rep) {
       std::fill(x_par.begin(), x_par.end(), 0.0);
-      exec.solve(b, x_par);
+      exec.solve(b, x_par, *ctx, exec.numThreads());
       EXPECT_EQ(x_serial, x_par) << name << " rep " << rep;
     }
   }
@@ -164,7 +166,7 @@ TEST(P2pExecutor, EpochWraparoundResetsCompletionFlags) {
   std::vector<double> expected(b.size(), 0.0), x(b.size(), 0.0);
   solveLowerSerial(lower, b, expected);
 
-  exec.solve(b, x, *ctx);
+  exec.solve(b, x, *ctx, exec.numThreads());
   EXPECT_EQ(x, expected);
   EXPECT_EQ(ctx->currentEpoch(), 1u);
 
@@ -175,7 +177,7 @@ TEST(P2pExecutor, EpochWraparoundResetsCompletionFlags) {
       *ctx, std::numeric_limits<std::uint32_t>::max());
   for (int rep = 1; rep <= 3; ++rep) {
     std::fill(x.begin(), x.end(), -1.0);
-    exec.solve(b, x, *ctx);
+    exec.solve(b, x, *ctx, exec.numThreads());
     EXPECT_EQ(x, expected) << "rep " << rep;
     EXPECT_EQ(ctx->currentEpoch(), static_cast<std::uint32_t>(rep));
   }
@@ -200,7 +202,7 @@ TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
       std::vector<double> x(b.size(), 0.0);
       for (int rep = 0; rep < 3; ++rep) {
         std::fill(x.begin(), x.end(), -1.0);
-        exec.solve(b, x, *ctx);
+        exec.solve(b, x, *ctx, exec.numThreads());
         if (x != expected) failures[static_cast<size_t>(t)] += 1;
       }
     });
@@ -270,7 +272,7 @@ TEST(ContiguousExecutor, MatchesSerialWithinTolerance) {
     const auto b = rhsFor(lower, x_true);
     const auto b_perm = sparse::permuteVector(b, problem.new_to_old);
     std::vector<double> x_perm(b.size(), 0.0);
-    exec.solve(b_perm, x_perm);
+    exec.solve(b_perm, x_perm, *exec.createContext(), exec.numThreads());
     const auto x = sparse::unpermuteVector(x_perm, problem.new_to_old);
     EXPECT_LT(relMaxAbsDiff(x, x_true), 1e-8) << name;
   }
@@ -297,7 +299,7 @@ TEST(BspExecutor, ConcurrentSolvesWithDistinctContexts) {
       std::vector<double> x(b.size(), 0.0);
       for (int rep = 0; rep < 3; ++rep) {
         std::fill(x.begin(), x.end(), -1.0);
-        exec.solve(b, x, *ctx);
+        exec.solve(b, x, *ctx, exec.numThreads());
         if (x != expected) failures[static_cast<size_t>(t)] += 1;
       }
     });
@@ -317,6 +319,7 @@ TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
   constexpr index_t kNrhs = 3;
   std::vector<double> b_multi(n * kNrhs), x_multi(n * kNrhs, 0.0);
   std::vector<std::vector<double>> expected;
+  const auto ctx = exec.createContext();
   for (index_t c = 0; c < kNrhs; ++c) {
     const auto x_true = referenceSolution(lower.rows(), 93 + c);
     const auto b = rhsFor(lower, x_true);
@@ -324,13 +327,12 @@ TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
       b_multi[i * kNrhs + static_cast<size_t>(c)] = b[i];
     }
     expected.emplace_back(n, 0.0);
-    exec.solve(b, expected.back());
+    exec.solve(b, expected.back(), *ctx, exec.numThreads());
   }
   // One tile of width nrhs is the row-major n x nrhs block itself.
-  const auto ctx = exec.createContext();
   exec.solveMultiRhsTiled(b_multi, x_multi,
                           TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
-                          exec.numThreads(), core::FoldPolicy::kModulo);
+                          exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -350,6 +352,7 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
   constexpr index_t kNrhs = 3;
   std::vector<double> b_multi(n * kNrhs), x_multi(n * kNrhs, 0.0);
   std::vector<std::vector<double>> expected;
+  const auto ctx = exec.createContext();
   for (index_t c = 0; c < kNrhs; ++c) {
     const auto x_true = referenceSolution(lower.rows(), 95 + c);
     const auto b_perm =
@@ -358,12 +361,11 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
       b_multi[i * kNrhs + static_cast<size_t>(c)] = b_perm[i];
     }
     expected.emplace_back(n, 0.0);
-    exec.solve(b_perm, expected.back());
+    exec.solve(b_perm, expected.back(), *ctx, exec.numThreads());
   }
-  const auto ctx = exec.createContext();
   exec.solveMultiRhsTiled(b_multi, x_multi,
                           TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
-                          exec.numThreads(), core::FoldPolicy::kModulo);
+                          exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -393,7 +395,7 @@ TEST(P2pExecutor, MultiRhsMatchesSerial) {
   const auto ctx = exec.createContext();
   exec.solveMultiRhsTiled(b_multi, x_multi,
                           TileLayout(lower.rows(), kNrhs, kNrhs), *ctx,
-                          exec.numThreads(), core::FoldPolicy::kModulo);
+                          exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],

@@ -186,8 +186,7 @@ TEST(MultiRhs, BspExecutorMatchesSerial) {
     const auto ctx = executor.createContext();
     executor.solveMultiRhsTiled(b, x_par,
                                 exec::TileLayout(lower.rows(), nrhs, nrhs),
-                                *ctx, executor.numThreads(),
-                                core::FoldPolicy::kModulo);
+                                *ctx, executor.numThreads());
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }

@@ -21,23 +21,25 @@
 #include "engine/solver_engine.hpp"
 #include "exec/solver.hpp"
 #include "exec/verify.hpp"
+#include "harness/datasets.hpp"
 #include "test_util.hpp"
 
 /// \file test_fold_policies.cpp
-/// The work-aware elasticity refactor: kBinPack folds are valid schedules
-/// and bitwise-lossless for every scheduler kind and team size; their
-/// makespan never exceeds the kModulo fold's (and strictly beats it on the
-/// imbalanced stand-ins); the CoreBudget arbiter bounds aggregate granted
-/// teams across concurrent batches (run under TSan in CI); the SLO
-/// controller shrinks under slack and holds the base under violation; the
-/// adaptive coalescing cap expands batches only under a deep queue; the
-/// controller's cold start seeds from the analyze-time cost model, whose
-/// foldedMakespanAt composes the rank map with the folded makespan.
+/// The work-aware fold: core::foldRankMap's folds are valid schedules for
+/// every scheduler kind and team size, and their makespan never exceeds
+/// the p mod t fold's (strictly beating it on the imbalanced stand-ins,
+/// pinned exactly on bench_fold_policies' rows); the CoreBudget arbiter
+/// bounds aggregate granted teams across concurrent batches (run under
+/// TSan in CI); the SLO controller shrinks under slack and holds the base
+/// under violation; the adaptive coalescing cap expands batches only under
+/// a deep queue; the controller's cold start seeds from the analyze-time
+/// cost model, whose foldedMakespanAt composes the rank map with the
+/// folded makespan. Bitwise losslessness of folded solves is
+/// test_elastic's ElasticSolve suite.
 
 namespace sts {
 namespace {
 
-using core::FoldPolicy;
 using core::Schedule;
 using core::validateSchedule;
 using dag::Dag;
@@ -45,19 +47,27 @@ using exec::SchedulerKind;
 using exec::SolverOptions;
 using exec::TriangularSolver;
 
-TEST(FoldRankMap, ModuloMapAndValidation) {
-  const auto map = core::foldRankMap(3, 7, 3, FoldPolicy::kModulo);
-  ASSERT_EQ(map.size(), 7u);
-  for (int p = 0; p < 7; ++p) EXPECT_EQ(map[static_cast<size_t>(p)], p % 3);
+/// The p -> p mod t map, the reference every packed fold is held against.
+std::vector<int> moduloMap(int width, int target) {
+  std::vector<int> map(static_cast<size_t>(width));
+  for (int p = 0; p < width; ++p) map[static_cast<size_t>(p)] = p % target;
+  return map;
+}
 
-  EXPECT_THROW(core::foldRankMap(3, 7, 0, FoldPolicy::kModulo),
+TEST(FoldRankMap, IdentityAndValidation) {
+  const std::vector<dag::weight_t> loads(3 * 7, 1);
+  const auto map = core::foldRankMap(3, 7, 3, loads);
+  ASSERT_EQ(map.size(), 7u);
+  EXPECT_EQ(core::foldedMakespan(loads, 3, 7, 3, map),
+            core::foldedMakespan(loads, 3, 7, 3, moduloMap(7, 3)));
+
+  EXPECT_THROW(core::foldRankMap(3, 7, 0, loads), std::invalid_argument);
+  EXPECT_THROW(core::foldRankMap(3, 7, 8, loads), std::invalid_argument);
+  // A real fold needs the load table; the identity fold does not.
+  EXPECT_THROW(core::foldRankMap(3, 7, 3), std::invalid_argument);
+  EXPECT_THROW(core::foldRankMap(3, 7, 3, std::span(loads).first(20)),
                std::invalid_argument);
-  EXPECT_THROW(core::foldRankMap(3, 7, 8, FoldPolicy::kModulo),
-               std::invalid_argument);
-  // kBinPack needs the load table (except for the identity fold).
-  EXPECT_THROW(core::foldRankMap(3, 7, 3, FoldPolicy::kBinPack),
-               std::invalid_argument);
-  const auto identity = core::foldRankMap(3, 7, 7, FoldPolicy::kBinPack);
+  const auto identity = core::foldRankMap(3, 7, 7);
   for (int p = 0; p < 7; ++p) {
     EXPECT_EQ(identity[static_cast<size_t>(p)], p);
   }
@@ -77,11 +87,8 @@ TEST(FoldRankMap, BinPackNeverWorseThanModuloOnRandomLoads) {
       load = u * u;
     }
     for (int target = 1; target <= width; ++target) {
-      const auto mod =
-          core::foldRankMap(steps, width, target, FoldPolicy::kModulo);
-      const auto pack =
-          core::foldRankMap(steps, width, target, FoldPolicy::kBinPack,
-                            loads);
+      const auto mod = moduloMap(width, target);
+      const auto pack = core::foldRankMap(steps, width, target, loads);
       // Valid slot assignment.
       for (const int q : pack) {
         ASSERT_GE(q, 0);
@@ -166,15 +173,14 @@ TEST(BinPackFold, ValidAndNeverWorseForEverySchedulerAndTeam) {
       ASSERT_TRUE(validateSchedule(d, full).ok) << scheduler.name;
       const auto loads = full.rankLoads(d.weights());
       for (int t = 1; t <= full.numCores(); ++t) {
-        const Schedule folded =
-            full.foldTo(t, FoldPolicy::kBinPack, d.weights());
+        const Schedule folded = full.foldTo(t, d.weights());
         EXPECT_EQ(folded.numCores(), t);
         EXPECT_EQ(folded.numSupersteps(), full.numSupersteps())
-            << scheduler.name << " binpack fold to " << t
+            << scheduler.name << " fold to " << t
             << " must preserve superstep structure";
         const auto validation = validateSchedule(d, folded);
         EXPECT_TRUE(validation.ok)
-            << scheduler.name << " binpack folded to " << t << ": "
+            << scheduler.name << " folded to " << t << ": "
             << validation.message;
         // Whole-rank granularity: two vertices of one original rank stay
         // together, and the folded makespan never exceeds modulo's.
@@ -190,9 +196,7 @@ TEST(BinPackFold, ValidAndNeverWorseForEverySchedulerAndTeam) {
           }
           folded_makespan += max_load;
         }
-        const auto mod = core::foldRankMap(full.numSupersteps(),
-                                           full.numCores(), t,
-                                           FoldPolicy::kModulo);
+        const auto mod = moduloMap(full.numCores(), t);
         EXPECT_LE(folded_makespan,
                   core::foldedMakespan(loads, full.numSupersteps(),
                                        full.numCores(), t, mod))
@@ -217,12 +221,9 @@ TEST(BinPackFold, ImbalanceAtMostModuloOnImbalancedStandins) {
       const Schedule full = scheduler.run(d, 8);
       const auto loads = full.rankLoads(d.weights());
       for (const int t : {2, 3, 4, 6}) {
-        const auto mod = core::foldRankMap(full.numSupersteps(),
-                                           full.numCores(), t,
-                                           FoldPolicy::kModulo);
-        const auto pack =
-            core::foldRankMap(full.numSupersteps(), full.numCores(), t,
-                              FoldPolicy::kBinPack, loads);
+        const auto mod = moduloMap(full.numCores(), t);
+        const auto pack = core::foldRankMap(full.numSupersteps(),
+                                            full.numCores(), t, loads);
         EXPECT_LE(core::foldedImbalance(loads, full.numSupersteps(),
                                         full.numCores(), t, pack),
                   core::foldedImbalance(loads, full.numSupersteps(),
@@ -233,77 +234,78 @@ TEST(BinPackFold, ImbalanceAtMostModuloOnImbalancedStandins) {
   }
 }
 
-/// Bitwise losslessness of the bin-pack fold across all three executor
-/// families, every scheduler kind, and every team size — both through the
-/// explicit-policy overloads and through a solver analyzed with
-/// fold_policy = kBinPack.
-TEST(BinPackFold, ElasticSolveBitwiseEqualsFullWidthEveryKindEveryTeam) {
-  struct KindCase {
-    SchedulerKind kind;
-    bool reorder;
+/// The live pin of bench_fold_policies' part 1 (BENCH_10.json's `fold`
+/// rows): the front entry of three dataset families at scale 0.05,
+/// analyzed at width 8 without the §5 reorder and folded to teams 2 and
+/// 4. foldRankMap's makespan must equal `binpack_makespan` exactly, the
+/// p mod t makespan must equal `modulo_makespan`, and the first must never
+/// exceed the second. A change to a scheduler, a generator or the fold
+/// moves a number here.
+TEST(BinPackFold, BenchFoldRowsPinned) {
+  struct Pinned {
+    std::string scheduler;
+    int team;
+    dag::weight_t modulo;
+    dag::weight_t packed;
   };
-  const std::vector<KindCase> kinds = {
-      {SchedulerKind::kGrowLocal, true},
-      {SchedulerKind::kGrowLocal, false},
-      {SchedulerKind::kFunnelGrowLocal, true},
-      {SchedulerKind::kWavefront, false},
-      {SchedulerKind::kHdagg, false},
-      {SchedulerKind::kSpmp, false},
-      {SchedulerKind::kBspList, false},
-      {SchedulerKind::kSerial, false},
+  struct Family {
+    harness::DatasetEntry entry;
+    std::vector<Pinned> rows;
   };
-  const auto lower = datagen::erdosRenyiLower({.n = 500, .p = 6e-3,
-                                               .seed = 31});
-  const auto x_true = exec::referenceSolution(lower.rows(), 32);
-  const auto b = lower.multiply(x_true);
-  const auto n = static_cast<size_t>(lower.rows());
+  const std::vector<Family> families = {
+      {harness::narrowBandSet(0.05).front(),
+       {{"GrowLocal", 2, 3620, 3620}, {"GrowLocal", 4, 3137, 3136},
+        {"Wavefront", 2, 3035, 2855}, {"Wavefront", 4, 1922, 1696},
+        {"HDagg", 2, 2724, 2626}, {"HDagg", 4, 1698, 1590}}},
+      {harness::erdosRenyiSet(0.05).front(),
+       {{"GrowLocal", 2, 6343, 6343}, {"GrowLocal", 4, 3385, 3385},
+        {"Wavefront", 2, 6085, 6050}, {"Wavefront", 4, 3134, 3107},
+        {"HDagg", 2, 5958, 5955}, {"HDagg", 4, 2992, 2992}}},
+      {harness::suiteSparseStandin(0.05).front(),
+       {{"GrowLocal", 2, 7343, 7343}, {"GrowLocal", 4, 4364, 4364},
+        {"Wavefront", 2, 6124, 6014}, {"Wavefront", 4, 3171, 3142},
+        {"HDagg", 2, 5977, 5953}, {"HDagg", 4, 3080, 3072}}},
+  };
+  EXPECT_EQ(families[0].entry.name, "nb_p14_b10_A");
+  EXPECT_EQ(families[1].entry.name, "er_d5_A");
+  EXPECT_EQ(families[2].entry.name, "grid2d_5pt");
+  const std::vector<std::pair<std::string, SchedulerKind>> kinds = {
+      {"GrowLocal", SchedulerKind::kGrowLocal},
+      {"Wavefront", SchedulerKind::kWavefront},
+      {"HDagg", SchedulerKind::kHdagg}};
 
-  constexpr index_t kNrhs = 3;
-  std::vector<double> b_multi(n * kNrhs);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < kNrhs; ++c) {
-      b_multi[i * kNrhs + c] = b[i] + static_cast<double>(c);
-    }
-  }
-
-  for (const auto& kc : kinds) {
-    SolverOptions opts;
-    opts.scheduler = kc.kind;
-    opts.reorder = kc.reorder;
-    opts.num_threads = 4;
-    opts.fold_policy = FoldPolicy::kBinPack;  // the default-path policy
-    const auto solver = TriangularSolver::analyze(lower, opts);
-    const int width = solver.numThreads();
-    auto ctx = solver.createContext();
-
-    std::vector<double> x_full(n, 0.0);
-    solver.solve(b, x_full, *ctx, width);
-    std::vector<double> x_multi_full(n * kNrhs, 0.0);
-    solver.solveMultiRhs(b_multi, x_multi_full, kNrhs, *ctx, width);
-
-    for (int t = 1; t <= width; ++t) {
-      for (const FoldPolicy policy :
-           {FoldPolicy::kModulo, FoldPolicy::kBinPack}) {
-        std::vector<double> x_t(n, 1e300);
-        solver.solve(b, x_t, *ctx, t, policy);
-        EXPECT_EQ(x_t, x_full)
-            << exec::schedulerKindName(kc.kind) << " reorder=" << kc.reorder
-            << " team " << t << " policy "
-            << core::foldPolicyName(policy);
-        std::vector<double> x_multi_t(n * kNrhs, 1e300);
-        solver.solveMultiRhs(b_multi, x_multi_t, kNrhs, *ctx, t, policy);
-        EXPECT_EQ(x_multi_t, x_multi_full)
-            << exec::schedulerKindName(kc.kind) << " multiRhs team " << t
-            << " policy " << core::foldPolicyName(policy);
+  int pinned = 0;
+  for (const auto& [entry, rows] : families) {
+    const Dag d = Dag::fromLowerTriangular(entry.lower);
+    for (const auto& [name, kind] : kinds) {
+      SolverOptions opts;
+      opts.scheduler = kind;
+      opts.num_threads = 8;
+      opts.reorder = false;
+      opts.validate = false;
+      const auto solver = TriangularSolver::analyze(entry.lower, opts);
+      const Schedule& schedule = solver.schedule();
+      const auto loads = schedule.rankLoads(d.weights());
+      const auto steps = schedule.numSupersteps();
+      const int width = schedule.numCores();
+      for (const Pinned& row : rows) {
+        if (row.scheduler != name) continue;
+        const auto packed = core::foldedMakespan(
+            loads, steps, width, row.team,
+            core::foldRankMap(steps, width, row.team, loads));
+        const auto modulo = core::foldedMakespan(
+            loads, steps, width, row.team, moduloMap(width, row.team));
+        EXPECT_EQ(packed, row.packed)
+            << entry.name << " " << name << " team " << row.team;
+        EXPECT_EQ(modulo, row.modulo)
+            << entry.name << " " << name << " team " << row.team;
+        EXPECT_LE(packed, modulo)
+            << entry.name << " " << name << " team " << row.team;
+        ++pinned;
       }
-      // The solver-default path (options().fold_policy == kBinPack).
-      std::vector<double> x_default(n, 1e300);
-      solver.solve(b, x_default, *ctx, t);
-      EXPECT_EQ(x_default, x_full)
-          << exec::schedulerKindName(kc.kind) << " default-policy team "
-          << t;
     }
   }
+  EXPECT_EQ(pinned, 18);
 }
 
 /// Fold-to-self shares the payload instead of deep-copying the arrays —
@@ -315,8 +317,8 @@ TEST(BinPackFold, FoldToSelfSharesPayload) {
   const Schedule same = s.foldTo(4);
   EXPECT_EQ(same.executionOrder().data(), s.executionOrder().data())
       << "fold to numCores() must alias the original payload";
-  const Schedule same_packed = s.foldTo(4, FoldPolicy::kBinPack, d.weights());
-  EXPECT_EQ(same_packed.executionOrder().data(), s.executionOrder().data());
+  const Schedule same_weighted = s.foldTo(4, d.weights());
+  EXPECT_EQ(same_weighted.executionOrder().data(), s.executionOrder().data());
   const Schedule copy = s;  // NOLINT(performance-unnecessary-copy-initialization)
   EXPECT_EQ(copy.cores().data(), s.cores().data());
 }
@@ -326,22 +328,20 @@ TEST(BinPackFold, FoldedMakespanAtMatchesManualComposition) {
                                                .seed = 51});
   const auto dag = dag::Dag::fromLowerTriangular(lower);
   const auto schedule = core::growLocalSchedule(dag, {.num_cores = 4});
-  for (const auto policy :
-       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+  // Unit weights (the default, the engine's cost model) and row weights.
+  for (const auto weights :
+       {std::span<const dag::weight_t>{}, dag.weights()}) {
+    const auto loads = schedule.rankLoads(weights);
     for (int t = 1; t <= schedule.numCores(); ++t) {
-      const auto loads = schedule.rankLoads();
       const auto map = core::foldRankMap(schedule.numSupersteps(),
-                                         schedule.numCores(), t, policy,
-                                         loads);
+                                         schedule.numCores(), t, loads);
       const auto expected = core::foldedMakespan(
           loads, schedule.numSupersteps(), schedule.numCores(), t, map);
-      EXPECT_EQ(core::foldedMakespanAt(schedule, t, policy), expected);
+      EXPECT_EQ(core::foldedMakespanAt(schedule, t, weights), expected);
     }
   }
-  EXPECT_THROW(core::foldedMakespanAt(schedule, 0, core::FoldPolicy::kModulo),
-               std::invalid_argument);
-  EXPECT_THROW(core::foldedMakespanAt(schedule, schedule.numCores() + 1,
-                                      core::FoldPolicy::kModulo),
+  EXPECT_THROW(core::foldedMakespanAt(schedule, 0), std::invalid_argument);
+  EXPECT_THROW(core::foldedMakespanAt(schedule, schedule.numCores() + 1),
                std::invalid_argument);
 }
 

@@ -226,7 +226,6 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
   opts.tile_cols = 3;
   const auto solver = TriangularSolver::analyze(matrix, opts);
   const int team = team_param == 0 ? solver.numThreads() : team_param;
-  const core::FoldPolicy policy = solver.options().fold_policy;
   const auto perm = solver.permutation();
   const auto n = static_cast<size_t>(kRows);
   const auto r = static_cast<size_t>(kNrhs);
@@ -240,7 +239,7 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
         matrix.multiply(referenceSolution(kRows, 70 + static_cast<int>(c)));
     for (size_t i = 0; i < n; ++i) b[i * r + c] = bc[i];
     for (size_t i = 0; i < n; ++i) b_int[i] = bc[static_cast<size_t>(perm[i])];
-    solver.solvePermuted(b_int, x_int, *ctx, team, policy);
+    solver.solvePermuted(b_int, x_int, *ctx, team);
     for (size_t i = 0; i < n; ++i) {
       want[static_cast<size_t>(perm[i]) * r + c] = x_int[i];
     }
@@ -260,7 +259,7 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
       }
     }
   }
-  solver.solveTiles(b_tiles, x_tiles, layout, *ctx, team, policy);
+  solver.solveTiles(b_tiles, x_tiles, layout, *ctx, team);
   for (index_t t = 0; t < layout.numTiles(); ++t) {
     const auto w = static_cast<size_t>(layout.tileWidth(t));
     const auto c0 = static_cast<size_t>(layout.tileBegin(t));
@@ -280,19 +279,19 @@ TEST_P(PermutationCrossing, SolvePermutedRoundTripMatchesSolve) {
       bc[i] = b[i * r + c];
       want_col[i] = want[i * r + c];
     }
-    solver.solve(bc, x, *ctx, team, policy);
+    solver.solve(bc, x, *ctx, team);
     EXPECT_EQ(x, want_col) << "solve, column " << c;
     for (size_t i = 0; i < n; ++i) {
       b_int[i] = bc[static_cast<size_t>(perm[i])];
     }
-    solver.solveTiles(b_int, x_int, one_column, *ctx, team, policy);
+    solver.solveTiles(b_int, x_int, one_column, *ctx, team);
     for (size_t i = 0; i < n; ++i) {
       x_one[static_cast<size_t>(perm[i])] = x_int[i];
     }
     EXPECT_EQ(x_one, want_col) << "solveTiles, one column, column " << c;
   }
   std::vector<double> x_multi(n * r);
-  solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team, policy);
+  solver.solveMultiRhs(b, x_multi, kNrhs, *ctx, team);
   EXPECT_EQ(x_multi, want) << "solveMultiRhs";
   EXPECT_EQ(x_multi, want_tiled) << "solveMultiRhs vs solveTiles";
 }

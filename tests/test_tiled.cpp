@@ -92,7 +92,7 @@ std::vector<double> columnSolves(const TriangularSolver& solver,
   std::vector<double> x(b.size()), bc(n), xc(n);
   for (size_t c = 0; c < r; ++c) {
     for (size_t i = 0; i < n; ++i) bc[i] = b[i * r + c];
-    solver.solve(bc, xc, ctx, team, solver.options().fold_policy);
+    solver.solve(bc, xc, ctx, team);
     for (size_t i = 0; i < n; ++i) x[i * r + c] = xc[i];
   }
   return x;
@@ -201,8 +201,7 @@ TEST(TiledSolve, BitwiseMatchesColumnSolvesForEveryConfig) {
           for (const index_t nrhs : {1, 3, 8, 17}) {
             const auto b = makeRhs(n, nrhs);
             std::vector<double> x_tiled(b.size());
-            solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team,
-                                 solver.options().fold_policy);
+            solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team);
             ASSERT_EQ(x_tiled, columnSolves(solver, *ctx, b, nrhs, team))
                 << config.name << " tile_cols " << tile_cols << " team "
                 << team << " nrhs " << nrhs;
@@ -242,8 +241,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   std::vector<double> b_tiled(layout.totalDoubles());
   std::vector<double> x_tiled(layout.totalDoubles());
   layout.pack(b_perm, b_tiled);
-  solver.solveTiles(b_tiled, x_tiled, layout, *ctx, solver.numThreads(),
-                    solver.options().fold_policy);
+  solver.solveTiles(b_tiled, x_tiled, layout, *ctx, solver.numThreads());
   std::vector<double> x_perm(b.size());
   layout.unpack(x_tiled, x_perm);
   std::vector<double> x(b.size());
@@ -256,8 +254,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   // Shape mismatches must throw, not corrupt.
   std::vector<double> short_buf(layout.totalDoubles() - 1);
   EXPECT_THROW(solver.solveTiles(short_buf, x_tiled, layout, *ctx,
-                                 solver.numThreads(),
-                                 solver.options().fold_policy),
+                                 solver.numThreads()),
                std::invalid_argument);
 }
 
@@ -267,8 +264,8 @@ TEST(TiledSolve, BytesMovedAccountingIsConsistent) {
   SolverOptions opts;
   opts.num_threads = 2;
   const auto solver = TriangularSolver::analyze(lower, opts);
-  // Through the StorageKind forward the benchmark ledger still calls.
-  const auto csr = solver.storageBytesMoved(2, core::FoldPolicy::kModulo,
+  // Through the forward the benchmark ledger still calls.
+  const auto csr = solver.storageBytesMoved(2, exec::FoldPolicy::kBinPack,
                                             StorageKind::kSharedCsr);
   EXPECT_EQ(csr, exec::csrBytesMoved(lower.rows(), lower.nnz()));
 }
@@ -303,8 +300,7 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
       const int team = 1 + w % solver.numThreads();
       for (int rep = 0; rep < 3; ++rep) {
         if (w % 2 == 0) {
-          solver.solveMultiRhs(b, x, nrhs, *ctx, team,
-                               core::FoldPolicy::kModulo);
+          solver.solveMultiRhs(b, x, nrhs, *ctx, team);
         } else {
           x = columnSolves(solver, *ctx, b, nrhs, team);
         }
@@ -387,15 +383,12 @@ TEST(TiledCore, FoldAwareGrowLocalNeverLosesOnFoldedCost) {
     double base_cost = 0.0;
     double tuned_cost = 0.0;
     for (const int t : targets) {
-      base_cost += static_cast<double>(core::foldedMakespanAt(
-                       base, t, core::FoldPolicy::kBinPack, dag.weights())) +
-                   plain.sync_cost_l *
-                       static_cast<double>(base.numSupersteps());
-      tuned_cost += static_cast<double>(core::foldedMakespanAt(
-                        tuned, t, core::FoldPolicy::kBinPack,
-                        dag.weights())) +
-                    plain.sync_cost_l *
-                        static_cast<double>(tuned.numSupersteps());
+      base_cost +=
+          static_cast<double>(core::foldedMakespanAt(base, t, dag.weights())) +
+          plain.sync_cost_l * static_cast<double>(base.numSupersteps());
+      tuned_cost +=
+          static_cast<double>(core::foldedMakespanAt(tuned, t, dag.weights())) +
+          plain.sync_cost_l * static_cast<double>(tuned.numSupersteps());
     }
     EXPECT_LE(tuned_cost, base_cost);
   }

@@ -82,7 +82,6 @@ def main():
         env["STS_BENCH_SCALE"] = str(args.scale)
     if args.reps is not None:
         env["STS_BENCH_REPS"] = str(args.reps)
-        env.setdefault("STS_FOLD_REPS", str(args.reps))
         env.setdefault("STS_TILED_REPS", str(args.reps))
         # Quick-snapshot mode also trims the open-loop overload phase.
         env.setdefault("STS_OVERLOAD_REQUESTS", "48")
