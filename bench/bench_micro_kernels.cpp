@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "baselines/spmp.hpp"
 #include "core/coarsen.hpp"
@@ -20,6 +22,7 @@
 #include "exec/row_kernels.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
+#include "exec/tile.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -204,6 +207,30 @@ void BM_BspSolveMultiShared(benchmark::State& state) {
                           static_cast<int64_t>(r));
 }
 BENCHMARK(BM_BspSolveMultiShared)->Arg(4)->Arg(8);
+
+/// y = A x on the 64^3 Poisson matrix (the ICCG workload's operator) at
+/// team Arg; bytes/s counts one stream of the CSR arrays plus x and y.
+void BM_CsrMultiply(benchmark::State& state) {
+  static const CsrMatrix a = datagen::grid3dLaplacian7(64, 64, 64);
+  const auto team = static_cast<int>(state.range(0));
+  const std::vector<double> x(static_cast<size_t>(a.cols()), 1.0);
+  std::vector<double> y(static_cast<size_t>(a.rows()));
+  for (auto _ : state) {
+    a.multiply(x, y, team);
+    benchmark::DoNotOptimize(y.data());
+  }
+  const std::size_t bytes = exec::csrBytesMoved(a.rows(), a.nnz()) +
+                            (x.size() + y.size()) * sizeof(double);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_CsrMultiply)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      b->Arg(1);
+      const unsigned hw = std::thread::hardware_concurrency();
+      if (hw > 1) b->Arg(hw);
+    })
+    ->UseRealTime();
 
 void BM_GrowLocalSchedule(benchmark::State& state) {
   const auto& d = benchDag();

@@ -47,10 +47,11 @@ int main() {
               ic.retries);
 
   // Two scheduled solvers with the SAME schedule family: L (forward) and
-  // L^T (backward).
+  // L^T (backward). The SpMV in the CG loop runs on the same team.
+  const int team = 2;
   exec::SolverOptions opts;
   opts.scheduler = exec::SchedulerKind::kGrowLocal;
-  opts.num_threads = 2;
+  opts.num_threads = team;
   auto forward = exec::TriangularSolver::analyze(ic.lower, opts);
   auto backward = exec::TriangularSolver::analyze(ic.lower.transposed(), opts);
   std::printf("analysis: forward %.2f ms (%d supersteps), backward %.2f ms\n",
@@ -77,8 +78,7 @@ int main() {
   int iterations = 0;
   int solves = 2;
   for (; iterations < 500; ++iterations) {
-    const auto av = a.multiply(p);
-    std::copy(av.begin(), av.end(), ap.begin());
+    a.multiply(p, ap, team);  // A p into the reused buffer
     const double alpha = rz / dot(p, ap);
     axpy(alpha, p, x);
     axpy(-alpha, ap, r);

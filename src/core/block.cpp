@@ -2,9 +2,11 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 namespace sts::core {
 
@@ -42,7 +44,10 @@ Schedule blockSchedule(const Dag& dag, int num_blocks, bool parallel,
   // after the loop order them through an atomic it sees, as the executor
   // regions do with their closing SpinBarrier crossing.
   std::atomic<int> blocks_done{0};
-#pragma omp parallel for schedule(dynamic, 1) if (parallel)
+  const int team = std::min(
+      num_blocks,
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+#pragma omp parallel for num_threads(team) schedule(dynamic, 1) if (parallel)
   for (int b = 0; b < num_blocks; ++b) {
     const index_t lo = bounds[static_cast<size_t>(b)];
     const index_t hi = bounds[static_cast<size_t>(b) + 1];

@@ -91,8 +91,17 @@ class CsrMatrix {
   /// permutation of 0..rows-1; the matrix must be square.
   CsrMatrix symmetricPermuted(std::span<const index_t> new_to_old) const;
 
-  /// y = A x (dense x). Used by tests and right-hand-side construction.
+  /// y = A x (dense x) on the default team,
+  /// min(omp_get_max_threads(), hardware_concurrency()).
   std::vector<double> multiply(std::span<const double> x) const;
+
+  /// y = A x into the caller's `y` on `team` threads. The rows are split
+  /// into `team` contiguous ranges of about equal nnz, and each row sums in
+  /// its stored order, so `y` is bitwise the same at every team. Team 1
+  /// opens no OpenMP region. Throws std::invalid_argument when x.size() !=
+  /// cols(), y.size() != rows(), team < 1, or `x` and `y` overlap.
+  void multiply(std::span<const double> x, std::span<double> y,
+                int team) const;
 
   /// Same sparsity pattern (dims, rowPtr, colIdx).
   bool structureEquals(const CsrMatrix& other) const;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,6 +66,10 @@ MatrixMarketData readMatrixMarket(std::istream& in) {
       if (!(sizes >> r >> c >> z) || r < 0 || c < 0 || z < 0) {
         fail(line_no, "invalid size line");
       }
+      if (r > std::numeric_limits<index_t>::max() ||
+          c > std::numeric_limits<index_t>::max()) {
+        fail(line_no, "rows or cols beyond the 32-bit index range");
+      }
       data.rows = static_cast<index_t>(r);
       data.cols = static_cast<index_t>(c);
       declared_nnz = static_cast<offset_t>(z);
@@ -72,8 +77,8 @@ MatrixMarketData readMatrixMarket(std::istream& in) {
     }
     if (declared_nnz < 0) fail(line_no, "missing size line");
 
-    data.entries.reserve(static_cast<size_t>(declared_nnz) *
-                         (data.symmetric ? 2 : 1));
+    // The declared count is untrusted, so the entries grow as they are
+    // read; a count the file does not hold fails the check below.
     offset_t seen = 0;
     while (std::getline(in, line)) {
       ++line_no;

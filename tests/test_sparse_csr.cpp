@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
+
+#include "test_util.hpp"
 
 namespace sts::sparse {
 namespace {
@@ -153,6 +160,95 @@ TEST(CsrMatrix, Multiply) {
   EXPECT_DOUBLE_EQ(y[0], 1.0);
   EXPECT_DOUBLE_EQ(y[1], 8.0);
   EXPECT_DOUBLE_EQ(y[2], 8.0);
+}
+
+// The reference y = A x: one accumulator per row, summed in stored order.
+std::vector<double> serialMultiply(const CsrMatrix& m,
+                                   const std::vector<double>& x) {
+  std::vector<double> y(static_cast<size_t>(m.rows()));
+  for (index_t i = 0; i < m.rows(); ++i) {
+    double acc = 0.0;
+    const auto cols_i = m.rowCols(i);
+    const auto vals_i = m.rowValues(i);
+    for (size_t k = 0; k < cols_i.size(); ++k) {
+      acc += vals_i[k] * x[static_cast<size_t>(cols_i[k])];
+    }
+    y[static_cast<size_t>(i)] = acc;
+  }
+  return y;
+}
+
+// Mixed signs and magnitudes, so that any change of summation order shows
+// in the low bits.
+std::vector<double> mixedVector(index_t n) {
+  std::vector<double> x(static_cast<size_t>(n));
+  for (size_t j = 0; j < x.size(); ++j) {
+    const double scale = j % 3 == 0 ? 1e8 : (j % 3 == 1 ? 1.0 : 1e-7);
+    x[j] = scale * std::sin(0.37 * static_cast<double>(j) + 1.0);
+  }
+  return x;
+}
+
+bool bitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// 300 x 170 with empty leading, interleaved and trailing rows.
+CsrMatrix rectangularWithEmptyRows() {
+  std::vector<Triplet> t;
+  for (index_t i = 3; i < 280; ++i) {
+    if (i % 7 == 3) continue;
+    for (index_t k = 0; k < 1 + i % 5; ++k) {
+      t.push_back({i, (i * 13 + k * 29) % 170, 1.0 / (1.0 + i + k)});
+    }
+  }
+  return CsrMatrix::fromTriplets(300, 170, t);
+}
+
+TEST(CsrMatrix, MultiplyIsBitwiseSerialAtEveryTeam) {
+  std::vector<testutil::NamedMatrix> cases = testutil::lowerTriangularZoo();
+  cases.push_back({"grid3d_24_full", datagen::grid3dLaplacian7(24, 24, 24)});
+  cases.push_back({"rect_empty_rows", rectangularWithEmptyRows()});
+  for (const auto& [name, m] : cases) {
+    const std::vector<double> x = mixedVector(m.cols());
+    const std::vector<double> expected = serialMultiply(m, x);
+    for (const int team : {1, 2, 4}) {
+      std::vector<double> y(static_cast<size_t>(m.rows()),
+                            std::numeric_limits<double>::quiet_NaN());
+      m.multiply(x, y, team);
+      EXPECT_TRUE(bitwiseEqual(y, expected)) << name << " team " << team;
+    }
+    EXPECT_TRUE(bitwiseEqual(m.multiply(x), expected)) << name;
+  }
+}
+
+TEST(CsrMatrix, MultiplyRejectsBadArguments) {
+  const CsrMatrix m = datagen::grid2dLaplacian5(8, 8);
+  const auto n = static_cast<size_t>(m.rows());
+  const std::vector<double> x(n, 1.0);
+  std::vector<double> y(n);
+  std::vector<double> short_vec(n - 1);
+  EXPECT_THROW(m.multiply(short_vec, y, 1), std::invalid_argument);
+  EXPECT_THROW(m.multiply(x, short_vec, 1), std::invalid_argument);
+  EXPECT_THROW(m.multiply(short_vec), std::invalid_argument);
+  EXPECT_THROW(m.multiply(x, y, 0), std::invalid_argument);
+  EXPECT_THROW(m.multiply(x, y, -2), std::invalid_argument);
+
+  // y aliasing x, fully or in part; adjacent halves of one buffer are fine.
+  std::vector<double> buf(2 * n, 1.0);
+  const std::span<double> whole(buf);
+  EXPECT_THROW(m.multiply(whole.first(n), whole.first(n), 2),
+               std::invalid_argument);
+  EXPECT_THROW(m.multiply(whole.first(n), whole.subspan(n / 2, n), 2),
+               std::invalid_argument);
+  EXPECT_THROW(m.multiply(whole.subspan(n / 2, n), whole.first(n), 2),
+               std::invalid_argument);
+  const std::span<double> product = whole.subspan(n, n);
+  m.multiply(whole.first(n), product, 2);
+  EXPECT_TRUE(bitwiseEqual({product.begin(), product.end()},
+                           serialMultiply(m, x)));
 }
 
 TEST(CsrMatrix, ConstructorRejectsMalformed) {

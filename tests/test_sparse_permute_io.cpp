@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sparse/mm_io.hpp"
 #include "sparse/permute.hpp"
@@ -133,6 +134,42 @@ TEST(MatrixMarket, RejectsOutOfRangeEntry) {
       "2 2 1\n"
       "3 1 1.0\n");
   EXPECT_THROW(readMatrixMarket(in), std::runtime_error);
+}
+
+// The size line is untrusted: dimensions past index_t and declared counts
+// that no memory could hold must end in the reader's parse error, not in a
+// silent truncation, std::length_error or std::bad_alloc.
+void expectParseError(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    readMatrixMarket(in);
+    ADD_FAILURE() << "parsed: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MatrixMarket parse error"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MatrixMarket, RejectsDimensionsBeyondIndexRange) {
+  expectParseError(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4294967297 4294967297 1\n"
+      "1 1 2.0\n");
+}
+
+TEST(MatrixMarket, RejectsDeclaredCountBeyondMaxSize) {
+  expectParseError(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 1000000000000000000\n"
+      "1 1 2.0\n");
+}
+
+TEST(MatrixMarket, RejectsDeclaredCountBeyondMemory) {
+  expectParseError(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 100000000000\n"
+      "1 1 2.0\n");
 }
 
 TEST(MatrixMarket, MissingFileThrows) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific convention lints that clang-tidy cannot express.
 
-Five rules, each encoding a contract documented in docs/ (violations have
+Six rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
@@ -13,6 +13,13 @@ bitten or would bite silently — none of them is a style preference):
       that region invisible to compute/wait attribution. block.cpp's
       analysis-time `parallel for` loops are exempt (no solve region, no
       per-thread state).
+
+  omp-named-team
+      Every `#pragma omp parallel` under src/, with or without `for`,
+      carries `num_threads(...)`. A region without it forks the
+      OMP_NUM_THREADS ICV, which knows nothing of the host's cores or of
+      the caller's team: 16 threads on a 4-core host under the
+      `oversubscribed` CI job's setting.
 
   trace-arg-purity
       No side-effecting expressions (++/--/assignment) inside STS_TRACE_*
@@ -157,6 +164,20 @@ def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
     return errors
 
 
+def check_omp_team(path: Path, lines: list[str]) -> list[str]:
+    errors = []
+    for idx, line in enumerate(lines):
+        stripped = strip_comments_and_strings(line)
+        if "#pragma omp parallel" not in stripped:
+            continue
+        if not re.search(r"\bnum_threads\s*\(", stripped):
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: omp-named-team: "
+                f"parallel region without num_threads(...) forks the "
+                f"OMP_NUM_THREADS default")
+    return errors
+
+
 def check_trace_args(path: Path, lines: list[str]) -> list[str]:
     errors = []
     text = "\n".join(strip_comments_and_strings(l) for l in lines)
@@ -269,6 +290,8 @@ def run(paths: list[Path]) -> list[str]:
         if path.is_relative_to(SRC / "exec") and path.suffix in (".cpp",
                                                                  ".hpp"):
             errors += check_omp_regions(path, lines)
+        if path.is_relative_to(SRC):
+            errors += check_omp_team(path, lines)
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
         errors += check_lock_discipline(path, lines)
@@ -307,8 +330,16 @@ void walk(int team, Step step) {
 }
 """, "omp-region-discipline"),
     ("omp parallel for is exempt", "src/exec/fix.cpp", """
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for num_threads(team) schedule(dynamic, 1)
   for (int i = 0; i < n; ++i) work(i);
+""", None),
+    ("omp parallel for without num_threads", "src/core/fix.cpp", """
+#pragma omp parallel for schedule(dynamic, 1) if (parallel)
+  for (int b = 0; b < num_blocks; ++b) work(b);
+""", "omp-named-team"),
+    ("omp parallel for with num_threads passes", "src/sparse/fix.cpp", """
+#pragma omp parallel for num_threads(team) schedule(static, 1)
+  for (int r = 0; r < team; ++r) work(r);
 """, None),
     ("pure trace args pass", "src/exec/fix.cpp", """
 STS_TRACE_SPAN1("engine", "solve", "team", static_cast<std::uint64_t>(team));
