@@ -1,7 +1,7 @@
-/// Elastic serving: the concurrency/parallelism trade-off of load-adaptive
-/// team sizing. An analyzed schedule of width C is re-targetable to any
+/// Elastic serving: the concurrency/parallelism trade-off of the per-batch
+/// team size. An analyzed schedule of width C is re-targetable to any
 /// team t <= C (Schedule::foldTo; bitwise-lossless), so under deep backlog
-/// the engine can shrink per-solve teams and run more batches concurrently
+/// an engine with a shrunk fixed team runs more batches concurrently
 /// instead of spending every core on one solve — the elasticity gap
 /// Steiner et al. identify for the source paper's schedules. This bench
 /// sweeps offered load (staged backlog depth) and per-batch team size and
@@ -44,19 +44,18 @@ using sts::bench::envInt;
 
 struct Config {
   std::string name;
-  int team = 0;          ///< fixed team; 0 = adaptive elastic policy
+  int team = 0;          ///< fixed per-batch team
 };
 
 struct Result {
   std::string dataset;
   std::string matrix;
   std::string config;
-  int team = 0;          ///< 0 = adaptive
+  int team = 0;
   int backlog = 0;
   double median_seconds = 0.0;
   double rhs_per_second = 0.0;
   double mean_team_size = 0.0;
-  std::uint64_t shrunk_batches = 0;
   /// Same configuration with pin_threads: teams pinned to disjoint leased
   /// core sets. 0 when affinity is unsupported.
   double pinned_median_seconds = 0.0;
@@ -99,7 +98,6 @@ int main() {
   for (int t = 1; t < width; ++t) {
     configs.push_back({"team=" + std::to_string(t), t});
   }
-  configs.push_back({"adaptive", 0});
 
   std::vector<harness::DatasetEntry> entries;
   std::vector<std::string> entry_dataset;
@@ -142,19 +140,13 @@ int main() {
     std::string best_shrunk_name;
     for (const auto& config : configs) {
       for (const int backlog : backlogs) {
-        // One engine per (config, backlog) row so the reported stats —
-        // especially mean_team_size under the adaptive policy — describe
-        // exactly this offered-load level, not the sweep so far.
+        // One engine per (config, backlog) row so the reported stats
+        // describe exactly this offered-load level, not the sweep so far.
         engine::EngineOptions opts;
         opts.num_workers = workers;
         opts.max_batch = max_batch;
-        opts.coalesce = true;
         opts.start_paused = true;
-        if (config.team > 0) {
-          opts.team_size = config.team;
-        } else {
-          opts.elastic = true;
-        }
+        opts.team_size = config.team;
         const std::vector<std::vector<double>> slice(
             rhs.begin(), rhs.begin() + backlog);
         Result r;
@@ -171,7 +163,6 @@ int main() {
               static_cast<double>(backlog) / r.median_seconds;
           const auto stats = engine.stats(id);
           r.mean_team_size = stats.mean_team_size;
-          r.shrunk_batches = stats.shrunk_batches;
         }
         // The pinned twin: identical load, but every batch's team pins to
         // its leased core set (disjoint across concurrent batches). The
@@ -205,8 +196,7 @@ int main() {
         if (backlog == deepest) {
           if (config.name == "full") {
             full_deep_rhs_per_s = r.rhs_per_second;
-          } else if (config.team > 0 && config.team < width &&
-                     r.rhs_per_second > best_shrunk_deep) {
+          } else if (r.rhs_per_second > best_shrunk_deep) {
             best_shrunk_deep = r.rhs_per_second;
             best_shrunk_name = config.name;
           }
@@ -232,15 +222,13 @@ int main() {
     std::printf("%s{\"dataset\":\"%s\",\"matrix\":\"%s\",\"config\":\"%s\","
                 "\"team\":%d,\"backlog\":%d,\"median_seconds\":%.6g,"
                 "\"rhs_per_second\":%.6g,\"mean_team_size\":%.3g,"
-                "\"shrunk_batches\":%llu,\"pinned_median_seconds\":%.6g,"
+                "\"pinned_median_seconds\":%.6g,"
                 "\"pinned_rhs_per_second\":%.6g,"
                 "\"pinned_mean_team_size\":%.3g,\"migrated_threads\":%llu}",
                 i == 0 ? "" : ",", r.dataset.c_str(), r.matrix.c_str(),
                 r.config.c_str(), r.team, r.backlog, r.median_seconds,
-                r.rhs_per_second, r.mean_team_size,
-                static_cast<unsigned long long>(r.shrunk_batches),
-                r.pinned_median_seconds, r.pinned_rhs_per_second,
-                r.pinned_mean_team_size,
+                r.rhs_per_second, r.mean_team_size, r.pinned_median_seconds,
+                r.pinned_rhs_per_second, r.pinned_mean_team_size,
                 static_cast<unsigned long long>(r.migrated_threads));
   }
   std::printf("]}\n");

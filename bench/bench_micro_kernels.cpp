@@ -79,7 +79,7 @@ BENCHMARK(BM_BspSolve)->Arg(1)->Arg(2);
 ///                  compiled-out baseline; CI diffs the two and fails if
 ///                  enabled-but-idle regresses the solve by > 2%.
 ///   TraceArmed   — a SolveTrace attribution sink attached to the context
-///                  (what EngineOptions::trace adds to every batch).
+///                  (what the engine adds to every batch).
 ///   TraceSession — a live TraceSession: every superstep records ring
 ///                  events (the full pay-when-tracing cost).
 void BM_BspSolveTraced(benchmark::State& state, bool armed, bool session) {

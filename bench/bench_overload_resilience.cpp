@@ -235,7 +235,6 @@ int main() {
   {
     engine::EngineOptions opts;
     opts.num_workers = workers;
-    opts.coalesce = true;
     opts.start_paused = true;
     engine::SolverEngine eng(opts);
     const auto id = eng.registerSolver(solver);
@@ -279,7 +278,6 @@ int main() {
   {
     engine::EngineOptions opts;
     opts.num_workers = workers;
-    opts.coalesce = true;
     opts.max_queue_depth = depth;
     opts.overload_control = true;
     opts.overload_target_delay = target_delay;

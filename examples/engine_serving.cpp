@@ -5,19 +5,19 @@
 /// from several client threads. The engine coalesces compatible queued
 /// requests into multi-RHS batches (one schedule traversal per batch) and
 /// worker concurrency is safe because every in-flight batch runs on its
-/// own SolveContext. The engine exercises the full adaptive option set
-/// (see the interaction table in engine/types.hpp): the SLO-driven
-/// elasticity controller (`target_p95`) sizes each batch's OpenMP team,
-/// the shared CoreBudget (`core_budget` + auto-detected core set) leases
-/// every team a disjoint set of CPU ids, and `pin_threads` pins team
-/// members to their leased cores — all bitwise-lossless, so every client
-/// still gets exact results. Prints the per-solver serving statistics,
-/// including the realized team sizes and pin/migration counters, the
-/// per-team compute-vs-wait attribution rows, and the metrics registry. Set STS_TRACE_OUT=<file> to also record the whole run as a
-/// Perfetto/chrome trace_event JSON (load it at https://ui.perfetto.dev):
-/// every request's queue-wait, the coalesce decision, the core-budget
-/// lease, the pin outcome, plan builds (the analysis included), and
-/// per-superstep compute/barrier spans on every executor thread.
+/// own SolveContext. Every batch runs on the solver's default team; the
+/// shared CoreBudget (`core_budget` + auto-detected core set) leases every
+/// team a disjoint set of CPU ids, and `pin_threads` pins team members to
+/// their leased cores (see the interaction table in engine/types.hpp) —
+/// all bitwise-lossless, so every client still gets exact results. Prints
+/// the per-solver serving statistics, including the realized team sizes
+/// and pin/migration counters, the per-team compute-vs-wait attribution
+/// rows, and the metrics registry. Set STS_TRACE_OUT=<file> to also record
+/// the whole run as a Perfetto/chrome trace_event JSON (load it at
+/// https://ui.perfetto.dev): every request's queue-wait, the coalesce
+/// decision, the core-budget lease, the pin outcome, plan builds (the
+/// analysis included), and per-superstep compute/barrier spans on every
+/// executor thread.
 ///
 ///   ./engine_serving
 ///   STS_TRACE_OUT=/tmp/serving_trace.json ./engine_serving
@@ -60,15 +60,11 @@ int main() {
               static_cast<int>(solver->schedule().numSupersteps()),
               solver->analysisSeconds() * 1e3);
 
-  // The current adaptive option set (PR 2-4); every knob is optional and
-  // bitwise-lossless, so this block is safe to copy into production code.
+  // Every knob is optional and bitwise-lossless, so this block is safe to
+  // copy into production code.
   engine::EngineOptions engine_options;
   engine_options.num_workers = 2;     // dispatcher threads
   engine_options.max_batch = 8;       // coalescing budget (RHS per batch)
-  engine_options.elastic = true;      // adapt team sizes to load
-  engine_options.elastic_min_team = 1;
-  engine_options.target_p95 = 0.050;  // SLO: p95 <= 50 ms drives the teams
-  engine_options.adaptive_batch = true;  // deep queue raises the batch cap
   engine_options.core_budget = 0;     // aggregate team cap (0 = unlimited)
   engine_options.pin_threads = true;  // pin teams to leased, disjoint cores
   // engine_options.core_set = {0, 2, 4};  // or name the cores explicitly
@@ -121,16 +117,14 @@ int main() {
               stats.latency_p50_seconds * 1e3,
               stats.latency_p95_seconds * 1e3,
               stats.throughput_rhs_per_second);
-  std::printf("elastic teams: mean %.2f threads/batch, %llu batches shrunk\n",
+  std::printf("teams: mean %.2f threads/batch, %llu batches throttled\n",
               stats.mean_team_size,
-              static_cast<unsigned long long>(stats.shrunk_batches));
+              static_cast<unsigned long long>(stats.budget_throttled_batches));
   std::printf("affinity: %llu batches pinned, %llu members pinned, "
               "%llu migrations corrected\n",
               static_cast<unsigned long long>(stats.pinned_batches),
               static_cast<unsigned long long>(stats.pinned_threads),
               static_cast<unsigned long long>(stats.migrated_threads));
-  std::printf("slo controller: %llu proportional steps actuated\n",
-              static_cast<unsigned long long>(stats.slo_steps));
 
   // Where did executor-thread time go? One attribution row per team size
   // the engine actually ran.

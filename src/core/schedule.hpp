@@ -68,9 +68,9 @@ class Schedule;
 /// Convenience composition of rankLoads + foldRankMap + foldedMakespan:
 /// the folded compute makespan of `schedule` re-targeted to `target` slots
 /// (empty `vertex_weights` = unit weights). This is the analyze-time cost
-/// model the serving engine's SLO cold start queries per candidate team:
-/// makespan ratios between targets predict how a solve's compute time
-/// scales with team size before any latency samples exist.
+/// model the fold-aware GrowLocal sums over its target teams
+/// (growlocal.hpp): makespan ratios between targets predict how a solve's
+/// compute time scales with team size.
 /// Throws std::invalid_argument unless 1 <= target <= numCores().
 weight_t foldedMakespanAt(const Schedule& schedule, int target,
                           std::span<const weight_t> vertex_weights = {});

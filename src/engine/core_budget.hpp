@@ -23,7 +23,7 @@
 ///
 ///   * COUNTING mode (`CoreBudget(total)`): the PR 3 lease counter. A
 ///     batch acquires up to its desired team size (blocking until at least
-///     a minimum is free), executes on exactly the granted width — folding
+///     one core is free), executes on exactly the granted width — folding
 ///     makes any width bitwise-lossless — and releases on completion. The
 ///     invariant: the sum of outstanding grants never exceeds the budget.
 ///
@@ -84,22 +84,21 @@ class CoreBudget {
   CoreBudget(const CoreBudget&) = delete;
   CoreBudget& operator=(const CoreBudget&) = delete;
 
-  /// Leases up to `desired` cores, blocking until at least
-  /// min(min_needed, desired, total) are free, then granting as many free
-  /// cores as possible (never more than `desired`). In core-set mode the
-  /// grant names the lowest free ids, disjoint from every other
-  /// outstanding grant. The caller must release() the grant exactly once.
-  /// Throws std::invalid_argument unless 1 <= min_needed and 1 <= desired.
-  Grant acquire(int desired, int min_needed = 1) {
-    if (desired < 1 || min_needed < 1) {
-      throw std::invalid_argument("CoreBudget::acquire: bad widths");
+  /// Leases up to `desired` cores, blocking until at least one is free,
+  /// then granting as many free cores as possible (never more than
+  /// `desired`). In core-set mode the grant names the lowest free ids,
+  /// disjoint from every other outstanding grant. The caller must
+  /// release() the grant exactly once. Throws std::invalid_argument
+  /// unless 1 <= desired.
+  Grant acquire(int desired) {
+    if (desired < 1) {
+      throw std::invalid_argument("CoreBudget::acquire: bad width");
     }
     if (total_ <= 0) return Grant{desired, {}};
-    const int need = std::min({min_needed, desired, total_});
     base::MutexLock lock(mu_);
     // Explicit wait loop so the guarded read of in_use_ stays in this
     // (analyzed) scope — see base/sync.hpp.
-    while (total_ - in_use_ < need) cv_.wait(lock.native());
+    while (in_use_ >= total_) cv_.wait(lock.native());
     Grant grant;
     grant.count = std::min(desired, total_ - in_use_);
     if (!core_set_.empty()) {
@@ -164,8 +163,8 @@ class CoreBudget {
   /// leased ids for pinning (empty in counting/unlimited mode).
   class Lease {
    public:
-    Lease(CoreBudget& budget, int desired, int min_needed)
-        : budget_(&budget), grant_(budget.acquire(desired, min_needed)) {}
+    Lease(CoreBudget& budget, int desired)
+        : budget_(&budget), grant_(budget.acquire(desired)) {}
     ~Lease() { budget_->release(std::move(grant_)); }
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;

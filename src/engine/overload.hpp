@@ -18,17 +18,17 @@
 ///              EngineError{kRejected}; latency-class work is still admitted
 ///
 /// The latch engages once pressure reaches 1 and releases only once it
-/// falls to 1 - hysteresis, so a load hovering at the target holds its
-/// state instead of dithering — the same asymmetry as the SLO controller's
-/// deadband (engine::sloStep). Admitted work always runs on the exact
-/// executors; overload changes who is admitted, never what an answer is.
+/// falls to 1 - hysteresis (the engine passes 0.5), so a load hovering at
+/// the target holds its state instead of dithering. Admitted work always
+/// runs on the exact executors; overload changes who is admitted, never
+/// what an answer is.
 
 namespace sts::engine {
 
-/// One latch decision, pure and unit-testable (the overload analogue of
-/// engine::sloStep): given the current pressure (est_delay / target), the
-/// hysteresis margin and the current state, return the next state.
-/// Monotone in pressure for either current state; a NaN pressure holds.
+/// One latch decision, pure and unit-testable: given the current pressure
+/// (est_delay / target), the hysteresis margin and the current state,
+/// return the next state. Monotone in pressure for either current state;
+/// a NaN pressure holds.
 inline bool overloadStep(double pressure, double hysteresis, bool engaged) {
   return engaged ? !(pressure <= 1.0 - hysteresis) : pressure >= 1.0;
 }
@@ -37,12 +37,11 @@ inline bool overloadStep(double pressure, double hysteresis, bool engaged) {
 /// request that arrives now. The `depth` queued requests drain as
 /// ceil(depth / batch_cap) batches of `p50` seconds each, spread over
 /// `workers` workers — queued single-RHS requests coalesce up to the
-/// batch cap, so pass the pop's effective cap when coalescing is on and 1
-/// when it is off. The result is the larger of that and `oldest_wait`,
-/// not their sum: the head's wait already contains queueing history and
-/// the depth term already contains the head, and each alone
-/// underestimates in a different regime (cold histogram vs. stalled
-/// worker).
+/// batch cap, so pass the engine's max_batch. The result is the larger of
+/// that and `oldest_wait`, not their sum: the head's wait already contains
+/// queueing history and the depth term already contains the head, and
+/// each alone underestimates in a different regime (cold histogram vs.
+/// stalled worker).
 inline double queueDelayEstimate(double p50, std::size_t depth,
                                  std::size_t batch_cap, std::size_t workers,
                                  double oldest_wait) {

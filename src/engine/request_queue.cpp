@@ -26,13 +26,6 @@ RequestQueue::PushResult RequestQueue::push(SolveRequest&& request) {
   return PushResult::kAccepted;
 }
 
-std::vector<SolveRequest> RequestQueue::popBatch(
-    sts::index_t max_rhs, bool coalesce, std::size_t* backlog,
-    std::vector<SolveRequest>* expired) {
-  return popBatch([max_rhs](std::size_t) { return max_rhs; }, coalesce,
-                  backlog, expired);
-}
-
 void RequestQueue::sweepExpired(std::deque<SolveRequest>& q,
                                 std::chrono::steady_clock::time_point now,
                                 std::vector<SolveRequest>* expired) {
@@ -54,8 +47,8 @@ void RequestQueue::sweepExpired(std::deque<SolveRequest>& q,
 }
 
 std::vector<SolveRequest> RequestQueue::popBatch(
-    const std::function<sts::index_t(std::size_t)>& max_rhs_for_depth,
-    bool coalesce, std::size_t* backlog, std::vector<SolveRequest>* expired) {
+    sts::index_t max_rhs, std::size_t* backlog,
+    std::vector<SolveRequest>* expired) {
   base::MutexLock lock(mu_);
   for (;;) {
     // A closed queue ignores pause so shutdown always drains. Spelled as
@@ -94,12 +87,10 @@ std::vector<SolveRequest> RequestQueue::popBatch(
     }
     std::deque<SolveRequest>& q = take_latency ? latency_q_ : throughput_q_;
 
-    const sts::index_t max_rhs =
-        max_rhs_for_depth(latency_q_.size() + throughput_q_.size());
     std::vector<SolveRequest> batch;
     batch.push_back(std::move(q.front()));
     q.pop_front();
-    if (coalesce && batch.front().nrhs == 1) {
+    if (batch.front().nrhs == 1) {
       // Single compaction pass over the SAME-CLASS deque only: coalescable
       // requests move into the batch, survivors slide left into the holes.
       // Erasing per match would be O(depth) *per coalesced request* —

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "base/sync.hpp"
@@ -15,10 +14,10 @@
 /// mutex is held only to move request records in or out (no allocation of
 /// RHS data, no solving, no promise fulfillment happens under it), so the
 /// critical sections are a few pointer moves long. Workers pop *batches*:
-/// the head request plus — when coalescing is on — every other queued
-/// single-RHS request for the same solver AND the same priority class, up
-/// to a column budget. That is where the serving throughput comes from:
-/// one schedule traversal then serves the whole batch.
+/// the head request plus every other queued single-RHS request for the
+/// same solver AND the same priority class, up to a column budget. That is
+/// where the serving throughput comes from: one schedule traversal then
+/// serves the whole batch.
 ///
 /// ## Lifecycle semantics (PR 10, docs/ROBUSTNESS.md)
 ///
@@ -63,9 +62,8 @@ class RequestQueue {
   /// Blocks until there is something to hand back, then returns one of:
   ///   * a non-empty batch (plus possibly expired requests swept on the
   ///     way) — the head of the highest-priority non-starved class, plus
-  ///     coalesced same-solver same-class nrhs==1 requests up to the
-  ///     column budget chosen by `max_rhs_for_depth` (called under the
-  ///     lock with the pre-pop live depth);
+  ///     coalesced same-solver same-class nrhs==1 requests up to `max_rhs`
+  ///     columns (1 = the head alone);
   ///   * an empty batch with non-empty `*expired` — everything queued had
   ///     expired; the caller fails them and pops again;
   ///   * empty batch, empty expired — closed and drained: worker shutdown.
@@ -74,15 +72,8 @@ class RequestQueue {
   /// the pop itself. `expired` may be null only if no request carries an
   /// expiry (the engine always passes one).
   std::vector<SolveRequest> popBatch(
-      const std::function<sts::index_t(std::size_t)>& max_rhs_for_depth,
-      bool coalesce, std::size_t* backlog = nullptr,
+      sts::index_t max_rhs, std::size_t* backlog = nullptr,
       std::vector<SolveRequest>* expired = nullptr);
-
-  /// Fixed-budget convenience overload.
-  std::vector<SolveRequest> popBatch(sts::index_t max_rhs, bool coalesce,
-                                     std::size_t* backlog = nullptr,
-                                     std::vector<SolveRequest>* expired =
-                                         nullptr);
 
   /// Stop dispatch: popBatch blocks even when requests are queued.
   void pause();

@@ -1,7 +1,6 @@
 #include "engine/solver_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -12,46 +11,20 @@
 #include "base/sync.hpp"
 #include "exec/affinity.hpp"
 #include "fault/failpoint.hpp"
-#include "harness/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace sts::engine {
 
 namespace {
-/// Relative p95 error below which the SLO controller holds: without a
-/// deadband a width sitting exactly at the target would dither one step
-/// up and down every window.
-constexpr double kSloDeadband = 0.1;
-/// Proportional gain: widths move by round(gain * |err| * current) per
-/// decision (at least 1), so big violations converge in a step or two and
-/// near-target errors creep instead of overshooting.
-constexpr double kSloGain = 0.5;
+/// Release margin of the overload latch in target-delay units: an engaged
+/// latch releases once the estimated delay falls to half the target, so
+/// a load hovering at the target cannot make it dither.
+constexpr double kOverloadHysteresis = 0.5;
 
 std::string solverMetric(SolverId id, const char* name) {
   return "sts.solver" + std::to_string(id) + "." + name;
 }
 }  // namespace
-
-int sloStep(double p95, double target, int current, int base, int min_team,
-            bool deep_backlog) {
-  const double err = (p95 - target) / target;
-  // An unreachable target (err in the millions) must saturate, not
-  // overflow: any step of at least base - min_team spans the whole lattice.
-  const auto step_of = [&](double magnitude) {
-    const double raw = kSloGain * magnitude * current;
-    const double cap = static_cast<double>(base - min_team + 1);
-    return std::max(1, static_cast<int>(std::lround(std::min(raw, cap))));
-  };
-  int next = current;
-  if (err > kSloDeadband) {
-    // Violating: spend cores on latency, proportionally to how badly.
-    next = current + step_of(err);
-  } else if (err < -kSloDeadband && deep_backlog) {
-    // Under target with backlog: spend cores on concurrency instead.
-    next = current - step_of(-err);
-  }
-  return std::clamp(next, min_team, base);
-}
 
 CoreBudget SolverEngine::makeBudget(const EngineOptions& options) {
   std::vector<int> ids = options.core_set;
@@ -87,24 +60,14 @@ SolverEngine::SolverEngine(EngineOptions options)
   if (options_.team_size < 0) {
     throw std::invalid_argument("SolverEngine: team_size must be >= 0");
   }
-  if (options_.elastic_min_team < 1) {
-    throw std::invalid_argument("SolverEngine: elastic_min_team must be >= 1");
-  }
-  // Negated comparisons so that a NaN fails them too: a NaN target would
-  // otherwise turn every controller input into NaN.
-  if (!(options_.target_p95 >= 0.0)) {
-    throw std::invalid_argument("SolverEngine: target_p95 must be >= 0");
-  }
   if (options_.core_budget < 0) {
     throw std::invalid_argument("SolverEngine: core_budget must be >= 0");
   }
+  // Negated so that a NaN target fails too: it would otherwise turn every
+  // latch input into NaN.
   if (options_.overload_control && !(options_.overload_target_delay > 0.0)) {
     throw std::invalid_argument(
         "SolverEngine: overload_target_delay must be > 0");
-  }
-  if (!(options_.overload_hysteresis >= 0.0)) {
-    throw std::invalid_argument(
-        "SolverEngine: overload_hysteresis must be >= 0");
   }
   // Engine-wide lifecycle instruments exist whether or not the latch
   // runs: admitted/rejected/expired count the bounded-queue and deadline
@@ -117,7 +80,7 @@ SolverEngine::SolverEngine(EngineOptions options)
   overload_steps_counter_ = &metrics_.counter("sts.engine.overload_steps");
   if (options_.overload_control) {
     overload_ = std::make_unique<OverloadController>(
-        options_.overload_target_delay, options_.overload_hysteresis);
+        options_.overload_target_delay, kOverloadHysteresis);
   }
   if (options_.start_paused) queue_.pause();
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
@@ -128,56 +91,6 @@ SolverEngine::SolverEngine(EngineOptions options)
 
 SolverEngine::~SolverEngine() { shutdown(); }
 
-int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
-  const int base = baseTeam(solver);
-  const int min_team = std::min(options_.elastic_min_team, base);
-  if (min_team >= base) return base;
-
-  // Lease the probe's team from the shared budget like any batch would:
-  // registering a solver while the engine is serving must not
-  // oversubscribe the machine (the never-oversubscribe invariant), and a
-  // throttled grant simply anchors the model at the granted width.
-  CoreBudget::Lease cores(budget_, base, min_team);
-  const int probe_team = cores.granted();
-  // Probe on a fresh context (registration must not race the built-in
-  // default context). The untimed warmup pays the one-time costs —
-  // fold-plan build, OpenMP team spinup, cold matrix — so the timed pass
-  // measures the steady-state solve; a cold probe would overshoot and
-  // silently disable the cold start.
-  const auto n = static_cast<std::size_t>(solver.numRows());
-  std::vector<double> b(n, 1.0);
-  std::vector<double> x(n, 0.0);
-  auto ctx = solver.createContext();
-  STS_TRACE_SPAN1("plan", "seed_probe", "team", probe_team);
-  solver.solve(b, x, *ctx, probe_team);
-  const auto t0 = std::chrono::steady_clock::now();
-  solver.solve(b, x, *ctx, probe_team);
-  const double probe =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  // Scale the probe to other teams by the schedule's folded compute
-  // makespan ratio — the analyze-time cost model — and keep halving from
-  // the base while the estimate still fits in half the target (headroom
-  // for queueing and batching on top of pure compute). Estimates grow
-  // monotonically as the team shrinks, so stop at the first violation.
-  const auto probe_makespan = static_cast<double>(
-      core::foldedMakespanAt(solver.schedule(), probe_team));
-  if (probe_makespan <= 0.0) return base;
-  const auto estimate = [&](int t) {
-    return probe *
-           static_cast<double>(core::foldedMakespanAt(solver.schedule(), t)) /
-           probe_makespan;
-  };
-  if (estimate(base) > 0.5 * options_.target_p95) return base;
-  int chosen = base;
-  for (int t = base / 2; t >= min_team; t /= 2) {
-    if (estimate(t) > 0.5 * options_.target_p95) break;
-    chosen = t;
-  }
-  return chosen;
-}
-
 SolverId SolverEngine::registerSolver(
     std::shared_ptr<const exec::TriangularSolver> solver) {
   if (!solver) {
@@ -186,16 +99,6 @@ SolverId SolverEngine::registerSolver(
   auto reg = std::make_unique<Registered>();
   reg->contexts = std::make_unique<ContextPool>(*solver);
   reg->solver = std::move(solver);
-  if (options_.elastic && options_.target_p95 > 0.0) {
-    // Cold-start the SLO controller: without this every solver's first
-    // window is served at the base width even when the target is generous
-    // enough for a much narrower (higher-concurrency) team.
-    const int seed = seedTeam(*reg->solver);
-    if (seed > 0 && seed < baseTeam(*reg->solver)) {
-      reg->seeded_team = seed;
-      reg->elastic_team.store(seed, std::memory_order_relaxed);
-    }
-  }
   base::MutexLock lock(solvers_mu_);
   const auto id = static_cast<SolverId>(solvers_.size());
   // Registry-backed instruments, named per solver id. Created before the
@@ -205,7 +108,6 @@ SolverId SolverEngine::registerSolver(
   reg->requests_counter = &metrics_.counter(solverMetric(id, "requests"));
   reg->rhs_solved_counter = &metrics_.counter(solverMetric(id, "rhs_solved"));
   reg->batches_counter = &metrics_.counter(solverMetric(id, "batches"));
-  reg->slo_steps_counter = &metrics_.counter(solverMetric(id, "slo_steps"));
   reg->staging_bytes_gauge =
       &metrics_.gauge(solverMetric(id, "staging_bytes"));
   solvers_.push_back(std::move(reg));
@@ -415,12 +317,7 @@ void SolverEngine::workerLoop() {
   for (;;) {
     std::size_t backlog = 0;
     std::vector<SolveRequest> expired;
-    // The pre-pop depth (read under the queue lock) drives the adaptive
-    // coalescing cap: a deep queue justifies a bigger batch exactly when
-    // this worker commits to one.
-    auto batch = queue_.popBatch(
-        [this](std::size_t depth) { return effectiveBatchCap(depth); },
-        options_.coalesce, &backlog, &expired);
+    auto batch = queue_.popBatch(options_.max_batch, &backlog, &expired);
     // Stalled-worker failpoint (delay/stall actions only: a throw here
     // would escape the thread function). Sits between pop and execute so
     // a stall holds a COMMITTED batch — the regime where queue depth
@@ -438,13 +335,10 @@ void SolverEngine::workerLoop() {
 
 double SolverEngine::estQueueDelay(
     std::chrono::steady_clock::time_point now) const {
-  const std::size_t depth = queue_.size();
-  const std::size_t cap =
-      options_.coalesce ? static_cast<std::size_t>(effectiveBatchCap(depth))
-                        : 1;
-  return queueDelayEstimate(batch_p50_.load(std::memory_order_relaxed), depth,
-                            cap, workers_.size(),
-                            queue_.oldestWaitSeconds(now));
+  return queueDelayEstimate(batch_p50_.load(std::memory_order_relaxed),
+                            queue_.size(),
+                            static_cast<std::size_t>(options_.max_batch),
+                            workers_.size(), queue_.oldestWaitSeconds(now));
 }
 
 void SolverEngine::overloadUpdate(std::chrono::steady_clock::time_point now) {
@@ -460,76 +354,6 @@ int SolverEngine::baseTeam(const exec::TriangularSolver& solver) const {
              : solver.defaultTeam();
 }
 
-std::size_t SolverEngine::deepThreshold() const {
-  return options_.elastic_deep_queue > 0 ? options_.elastic_deep_queue
-                                         : workers_.size();
-}
-
-sts::index_t SolverEngine::effectiveBatchCap(std::size_t depth) const {
-  if (!options_.elastic || !options_.adaptive_batch) {
-    return options_.max_batch;
-  }
-  const std::size_t deep = deepThreshold();
-  if (depth >= 2 * deep) return 2 * options_.max_batch;
-  if (depth >= deep) return options_.max_batch + (options_.max_batch + 1) / 2;
-  return options_.max_batch;
-}
-
-int SolverEngine::chooseTeam(const Registered& reg,
-                             std::size_t backlog) const {
-  const int base = baseTeam(*reg.solver);
-  if (!options_.elastic) return base;
-  // min_team is raised first, then capped by base: a min_team above the
-  // base width cannot widen the team past it.
-  const int min_team = std::min(options_.elastic_min_team, base);
-
-  if (options_.target_p95 > 0.0) {
-    // SLO mode: the per-solver controller owns the choice; 0 = not yet
-    // initialized, meaning the base width.
-    const int current = reg.elastic_team.load(std::memory_order_relaxed);
-    return current > 0 ? std::clamp(current, min_team, base) : base;
-  }
-
-  // Depth-only mode (PR 2): deep backlog divides the base across workers.
-  if (backlog < deepThreshold()) return base;
-  const int workers = static_cast<int>(workers_.size());
-  const int shrunk = (base + workers - 1) / workers;
-  return std::min(std::max(shrunk, min_team), base);
-}
-
-void SolverEngine::updateController(Registered& reg, int base,
-                                    std::size_t backlog) {
-  const int min_team = std::min(options_.elastic_min_team, base);
-  int current = reg.elastic_team.load(std::memory_order_relaxed);
-  if (current <= 0) current = base;
-
-  // p95 over the controller's sliding window only: a long-lived server
-  // must react to the current regime, not its whole history (which is
-  // what the cumulative registry histogram records). The ring fills
-  // in-order from 0, so the valid prefix is simply min(count, kSize);
-  // quantiles are order-blind.
-  const SloWindow& w = reg.slo_window;
-  const std::size_t take = std::min(w.count, SloWindow::kSize);
-  if (take == 0) return;
-  std::vector<double> window(w.samples.begin(),
-                             w.samples.begin() + static_cast<long>(take));
-  const double p95 = harness::quantile(window, 0.95);
-
-  const int next = sloStep(p95, options_.target_p95, current, base, min_team,
-                           backlog >= deepThreshold());
-  if (next != current) {
-    // An actuation, not a hold: count it and leave a trace breadcrumb so
-    // a Perfetto timeline shows exactly when and how far the controller
-    // moved this solver's width.
-    reg.slo_steps += 1;
-    reg.slo_steps_counter->inc();
-    STS_TRACE_INSTANT("engine", "slo_step", "from",
-                      static_cast<std::uint64_t>(current), "to",
-                      static_cast<std::uint64_t>(next));
-  }
-  reg.elastic_team.store(next, std::memory_order_relaxed);
-}
-
 void SolverEngine::noteRetired(std::int64_t count) {
   const auto prev = in_flight_.fetch_sub(count, std::memory_order_acq_rel);
   if (prev == count) {
@@ -539,12 +363,11 @@ void SolverEngine::noteRetired(std::int64_t count) {
 }
 
 void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
-                                std::size_t backlog) {
+                                [[maybe_unused]] std::size_t backlog) {
   Registered& reg = registered(batch.front().solver);
   const exec::TriangularSolver& solver = *reg.solver;
   const std::size_t k = batch.size();
-  const int base_team = baseTeam(solver);  // shallow-queue reference
-  const int desired = chooseTeam(reg, backlog);
+  const int desired = baseTeam(solver);
 #if STS_TRACING
   // Close each request's queue-wait span (submit -> this worker committing
   // to it) and mark the coalescing decision, before the lease can block.
@@ -565,8 +388,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // desire — is the executed width, so concurrent batches can never
   // oversubscribe the machine in aggregate. Folding keeps any granted
   // width bitwise-lossless.
-  CoreBudget::Lease cores(budget_, desired,
-                          std::min(options_.elastic_min_team, desired));
+  CoreBudget::Lease cores(budget_, desired);
   const int team = cores.granted();
 #if STS_TRACING
   // The lease span is where budget contention shows up: a batch blocked on
@@ -587,9 +409,9 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   double unpack_elapsed = 0.0;
   std::exception_ptr error;
   // Per-batch attribution sink: the executor threads' StepTracers flush
-  // their compute/wait nanoseconds here (EngineOptions::trace); aggregated
-  // into reg.trace_rows below. Stack-local — the pool clears the context's
-  // sink pointer on release, so it cannot dangle past this frame.
+  // their compute/wait nanoseconds here; aggregated into reg.trace_rows
+  // below. Stack-local — the pool clears the context's sink pointer on
+  // release, so it cannot dangle past this frame.
   obs::SolveTrace batch_trace;
   const auto t0 = std::chrono::steady_clock::now();
   sts::index_t total_rhs = 0;
@@ -603,7 +425,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       lease.context().setPinnedCores(
           {cores.cores().begin(), cores.cores().end()});
     }
-    if (options_.trace) lease.context().setTrace(&batch_trace);
+    lease.context().setTrace(&batch_trace);
     // Every answer travels home in its request's own b vector, which the
     // resolution below moves into the response.
     if (batch.front().nrhs == 1) {
@@ -692,11 +514,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   reg.batches += 1;
   reg.batches_counter->inc();
   reg.team_size_accum += static_cast<std::uint64_t>(team);
-  if (team < base_team) reg.shrunk_batches += 1;
   if (team < desired) reg.budget_throttled_batches += 1;
-  if (static_cast<sts::index_t>(k) > options_.max_batch) {
-    reg.expanded_batches += 1;
-  }
   // A pinned batch is one that actually RAN pinned: pins that all failed
   // (or a solve that threw) must not inflate the counter, or the stats
   // invariant pinned_threads >= pinned_batches breaks.
@@ -726,7 +544,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // out with the StepTracer bodies: an STS_TRACING=OFF build would only
   // ever record all-zero rows, so traceSummary() stays empty instead.
 #if STS_TRACING
-  if (options_.trace && !error) {
+  if (!error) {
     TraceAccum& row = reg.trace_rows[team];
     row.batches += 1;
     row.thread_steps +=
@@ -740,22 +558,10 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     row.unpack_seconds += unpack_elapsed;
   }
 #endif
-  // Quantiles: the cumulative registry histogram. Controller: the
-  // sliding window ring (fills in-order from 0, overwrites oldest), which
-  // only the SLO controller reads.
-  const bool slo_controller = options_.elastic && options_.target_p95 > 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const double latency =
-        std::chrono::duration<double>(t1 - batch[j].submitted).count();
-    reg.latency_hist->record(latency);
-    if (slo_controller) {
-      SloWindow& w = reg.slo_window;
-      w.samples[w.next] = latency;
-      w.next = (w.next + 1) % SloWindow::kSize;
-      w.count += 1;
-    }
+  for (const SolveRequest& request : batch) {
+    reg.latency_hist->record(
+        std::chrono::duration<double>(t1 - request.submitted).count());
   }
-  if (slo_controller) updateController(reg, base_team, backlog);
 }
 
 SolverServingStats SolverEngine::stats(SolverId id) const {
@@ -773,15 +579,11 @@ SolverServingStats SolverEngine::stats(SolverId id) const {
     out.batches_failed = reg.batches_failed;
     out.rhs_solved = reg.rhs_solved;
     out.coalesced_rhs = reg.coalesced_rhs;
-    out.shrunk_batches = reg.shrunk_batches;
     out.budget_throttled_batches = reg.budget_throttled_batches;
-    out.expanded_batches = reg.expanded_batches;
     out.pinned_batches = reg.pinned_batches;
     out.pinned_threads = reg.pinned_threads;
     out.migrated_threads = reg.migrated_threads;
     out.tiled_batches = reg.tiled_batches;
-    out.seeded_team = reg.seeded_team;
-    out.slo_steps = reg.slo_steps;
     out.rejected_requests = reg.rejected_requests;
     out.expired_requests = reg.expired_requests;
     out.busy_seconds = reg.busy_seconds;

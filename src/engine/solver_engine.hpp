@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <future>
@@ -22,8 +21,7 @@
 /// \file solver_engine.hpp
 /// The batched request-serving subsystem: turns analyzed TriangularSolvers
 /// into a concurrent solve service — the analyze-once / solve-many premise
-/// (§1) promoted from a library call to a long-lived server, in the spirit
-/// of treating the executor as a service whose execution adapts to load.
+/// (§1) promoted from a library call to a long-lived server.
 ///
 ///   engine::SolverEngine engine({.num_workers = 2, .max_batch = 16});
 ///   const auto id = engine.registerSolver(
@@ -47,21 +45,14 @@
 ///  * Reentrancy comes from the SolveContext contract (solve_context.hpp):
 ///    every in-flight batch leases a context from a per-solver
 ///    ContextPool; the solver itself is shared immutable state.
-///  * Elasticity (EngineOptions::elastic): the per-batch OpenMP team size
-///    adapts to load. A deep queue shrinks teams — schedule folding makes
-///    any team size t <= numThreads() bitwise-lossless — so the engine
-///    trades per-solve parallelism for cross-solve concurrency exactly
-///    when the backlog can use it; a shallow queue keeps full-width solves
-///    for latency. With EngineOptions::target_p95 the choice is SLO-driven
-///    instead of depth-only: each solver's controller grows its team while
-///    the recent-window p95 latency violates the target and shrinks it
-///    while under target with backlog. Team choices are reported in
-///    SolverServingStats.
+///  * One fixed team per batch: every batch asks for the base team
+///    (EngineOptions::team_size clamped to the analyzed width, or the
+///    solver's defaultTeam()).
 ///  * Cross-solver budgeting (EngineOptions::core_budget): every batch
 ///    leases its team from a shared CoreBudget, so aggregate granted team
 ///    sizes across concurrent batches never exceed the machine-wide
-///    budget; the grant (not the desire) is the executed width, which
-///    folding keeps bitwise-lossless.
+///    budget; the grant (not the base team) is the executed width, which
+///    schedule folding keeps bitwise-lossless for any t <= numThreads().
 ///  * Core-set affinity (EngineOptions::core_set / pin_threads): the
 ///    budget can allocate WHICH cores, not just how many — grants become
 ///    explicit disjoint CPU-id sets (user-supplied or detected from the
@@ -71,17 +62,13 @@
 ///    migrating across caches. Placement only — results stay bitwise;
 ///    unsupported platforms silently run unpinned (STS_HAS_AFFINITY).
 ///    See the option-interaction table in engine/types.hpp.
-///  * Adaptive coalescing (EngineOptions::adaptive_batch): under a deep
-///    queue the effective coalescing cap rises toward 2 * max_batch while
-///    teams shrink, so the barrier amortization grows exactly when the
-///    backlog can feed it.
 ///  * Every batch runs the exact executors, so each answer is the
 ///    bitwise-deterministic solution of T x = b. Single-RHS batches, k = 1
 ///    included, run packTiles → solveTiles → unpackTiles through the
 ///    leased context's pooled staging tiles; a lone multi-RHS request runs
 ///    solveMultiRhs, which tiles it too.
-///  * Per-solver throughput/latency statistics aggregate via the
-///    harness::stats quantile helpers (SolverServingStats).
+///  * Per-solver throughput/latency statistics aggregate in the engine's
+///    metric registry (SolverServingStats, metrics()).
 ///  * Request lifecycle (docs/ROBUSTNESS.md): SubmitOptions attach a
 ///    priority class and deadlines to each request; admission control
 ///    (EngineOptions::max_queue_depth, and the overload latch of
@@ -91,24 +78,11 @@
 
 namespace sts::engine {
 
-/// One SLO controller decision, pure and unit-testable: given the recent
-/// window p95 and the target, return the next team width. Steps are
-/// proportional to the relative error — err = (p95 - target) / target —
-/// instead of the former power-of-two grow/halve: width moves by
-/// max(1, round(0.5 * |err| * current)) per decision, so a 2x violation
-/// jumps straight toward base while a 10% one creeps, and small errors
-/// inside the ±10% deadband hold (no oscillation at the target). Growth
-/// needs only a violation; shrinking additionally needs a deep backlog
-/// (cores freed must have queued work to serve, same asymmetry as before).
-/// The result is clamped to [min_team, base].
-int sloStep(double p95, double target, int current, int base, int min_team,
-            bool deep_backlog);
-
 /// The serving facade: register analyzed solvers, submit right-hand
 /// sides, get futures. Construction spawns the workers; destruction
 /// drains and joins them. All public methods are thread-safe. The
-/// adaptive behavior is entirely options-driven — see the interaction
-/// table in engine/types.hpp and docs/ARCHITECTURE.md.
+/// behavior is entirely options-driven — see the interaction table in
+/// engine/types.hpp and docs/ARCHITECTURE.md.
 class SolverEngine {
  public:
   explicit SolverEngine(EngineOptions options = {});
@@ -163,14 +137,13 @@ class SolverEngine {
   /// Snapshot of one solver's serving statistics. Thread-safe.
   SolverServingStats stats(SolverId id) const;
 
-  /// Per-team compute-vs-wait attribution of one solver's batches
-  /// (EngineOptions::trace; empty when tracing is off or compiled out).
-  /// Rows are sorted by team. Thread-safe.
+  /// Per-team compute-vs-wait attribution of one solver's batches (empty
+  /// when tracing is compiled out). Rows are sorted by team. Thread-safe.
   std::vector<TraceSummaryRow> traceSummary(SolverId id) const;
 
   /// The engine's metric registry: per-solver latency histograms
   /// (`sts.solver<id>.latency_seconds`), request/batch counters, and the
-  /// SLO controller's actuation counters, exportable via renderText() /
+  /// engine-wide admission instruments, exportable via renderText() /
   /// renderJson(). Engine-private (not Registry::global()) so concurrent
   /// engines in one process never collide on names. Thread-safe.
   const obs::Registry& metrics() const { return metrics_; }
@@ -189,18 +162,6 @@ class SolverEngine {
   bool overloadEngaged() const { return overload_ && overload_->engaged(); }
 
  private:
-  /// Sliding window of recent request latencies feeding the SLO
-  /// controller's p95 (the registry histogram is cumulative — right for
-  /// stats quantiles, wrong for a controller that must react to the
-  /// current regime within one window). Written only while the
-  /// controller runs (elastic && target_p95 > 0).
-  struct SloWindow {
-    static constexpr std::size_t kSize = 64;
-    std::array<double, kSize> samples{};
-    std::size_t count = 0;  ///< total recorded (caps the valid prefix)
-    std::size_t next = 0;   ///< ring cursor
-  };
-
   /// Accumulated SolveTrace totals of one team width.
   struct TraceAccum {
     std::uint64_t batches = 0;
@@ -222,19 +183,9 @@ class SolverEngine {
     obs::Counter* requests_counter = nullptr;
     obs::Counter* rhs_solved_counter = nullptr;
     obs::Counter* batches_counter = nullptr;
-    obs::Counter* slo_steps_counter = nullptr;
     /// Bytes the pool's staging tiles hold (ContextPool::stagingBytes),
     /// refreshed after every batch.
     obs::Gauge* staging_bytes_gauge = nullptr;
-
-    /// The SLO controller's current team choice (0 = unset, meaning the
-    /// base width). Cold-started by seedTeam at registration when
-    /// target_p95 is set; thereafter written under stats_mu by the
-    /// batch-completion controller step; read lock-free by chooseTeam.
-    std::atomic<int> elastic_team{0};
-    /// seedTeam's cold-start choice, for stats (0 = unseeded). Written
-    /// once before the solver is published; never mutated after.
-    int seeded_team = 0;
 
     /// Guards every serving statistic below (the submit and
     /// batch-completion paths both write them); compiler-enforced under
@@ -246,25 +197,19 @@ class SolverEngine {
     std::uint64_t batches_failed STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t rhs_solved STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t coalesced_rhs STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t shrunk_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t budget_throttled_batches STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t expanded_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t pinned_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t pinned_threads STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t migrated_threads STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t tiled_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t team_size_accum STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t slo_steps STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t rejected_requests STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t expired_requests STS_GUARDED_BY(stats_mu) = 0;
     double busy_seconds STS_GUARDED_BY(stats_mu) = 0.0;
     double pack_seconds STS_GUARDED_BY(stats_mu) = 0.0;
     double unpack_seconds STS_GUARDED_BY(stats_mu) = 0.0;
-    /// Controller input: recent latencies only (stats quantiles come from
-    /// latency_hist, which never forgets — see obs/registry.hpp).
-    SloWindow slo_window STS_GUARDED_BY(stats_mu);
     /// traceSummary() rows, keyed by team; fed by each batch's armed
-    /// SolveTrace when EngineOptions::trace is on.
+    /// SolveTrace.
     std::map<int, TraceAccum> trace_rows
         STS_GUARDED_BY(stats_mu);
     std::chrono::steady_clock::time_point first_submit STS_GUARDED_BY(stats_mu){};
@@ -274,36 +219,12 @@ class SolverEngine {
   };
 
   void workerLoop();
+  /// Runs one popped batch; `backlog` (the depth the pop left behind)
+  /// feeds only the `coalesce` trace instant.
   void executeBatch(std::vector<SolveRequest>& batch, std::size_t backlog);
-  /// The base (shallow-queue) team width for one solver: team_size when
-  /// pinned, else the solver's defaultTeam().
+  /// Every batch's desired team width for one solver: team_size clamped
+  /// to the analyzed width, else the solver's defaultTeam().
   int baseTeam(const exec::TriangularSolver& solver) const;
-  /// Queue depth at or above which the elastic policies engage.
-  std::size_t deepThreshold() const;
-  /// The elasticity policy: per-batch OpenMP team size. Depth-only mode
-  /// (target_p95 == 0) shrinks toward base/num_workers under a deep queue;
-  /// SLO mode returns the controller's current per-solver choice. Folding
-  /// keeps every choice bitwise-lossless (solver.hpp contract).
-  int chooseTeam(const Registered& reg, std::size_t backlog) const;
-  /// One SLO controller step after a batch completes: p95 over the recent
-  /// latency window vs. target_p95 decides grow / shrink / hold, with
-  /// proportional error-sized steps (see engine::sloStep). Caller holds
-  /// reg.stats_mu — compiler-enforced via STS_REQUIRES under Clang.
-  void updateController(Registered& reg, int base, std::size_t backlog)
-      STS_REQUIRES(reg.stats_mu);
-  /// SLO cold start (elastic + target_p95 only): estimate the per-solve
-  /// cost at registration — one warmed probe solve on a budget-leased
-  /// team (never oversubscribing concurrent batches), scaled to other
-  /// teams by the schedule's folded-makespan ratios
-  /// (core::foldedMakespanAt, unit weights) — and
-  /// return the smallest power-of-two step of the controller's lattice
-  /// whose estimate still fits inside half the p95 target (headroom for
-  /// queueing). The first window is then served at a width the target can
-  /// afford instead of always at base.
-  int seedTeam(const exec::TriangularSolver& solver);
-  /// Coalescing cap for the next pop: max_batch, raised toward
-  /// 2 * max_batch under a deep queue when adaptive_batch is on.
-  sts::index_t effectiveBatchCap(std::size_t depth) const;
   /// Retires `count` in-flight submissions; wakes drain() on zero. Every
   /// in_flight_ decrement must go through here or drain() can sleep
   /// through the last completion.
@@ -331,9 +252,9 @@ class SolverEngine {
   /// EngineError{kExpired} and retire them from in_flight_.
   void failExpired(std::vector<SolveRequest>& expired);
   /// The overload controller's input: queueDelayEstimate over the queue
-  /// depth in batches of the next pop's coalescing cap, the p50 batch
-  /// seconds and the oldest queued wait — the latter keeps a stalled
-  /// worker visible when depth alone is static.
+  /// depth in batches of max_batch, the p50 batch seconds and the oldest
+  /// queued wait — the latter keeps a stalled worker visible when depth
+  /// alone is static.
   double estQueueDelay(std::chrono::steady_clock::time_point now) const;
   /// One latch decision off a fresh delay estimate; a flip emits an
   /// `overload_step` trace instant and counts in sts.engine.overload_steps.

@@ -94,7 +94,6 @@ ServingMeasurement measureServing(const std::string& matrix_name,
   engine::EngineOptions engine_opts;
   engine_opts.num_workers = 1;
   engine_opts.max_batch = max_batch;
-  engine_opts.coalesce = true;
   engine_opts.start_paused = true;
   engine_opts.team_size = width;
   {

@@ -41,9 +41,8 @@ struct ServingMeasurement {
   std::uint64_t migrated_threads = 0;  ///< engine stat: migrations corrected
   /// Barrier/flag wait share of the batched pass's executor-thread time,
   /// from SolverEngine::traceSummary() (batch-weighted mean over the
-  /// per-team attribution rows). 0 when EngineOptions::trace is
-  /// off or the build compiled tracing out — attribution is the always-on
-  /// accumulator path, so in practice 0 only under -DSTS_TRACING=OFF.
+  /// per-team attribution rows). Attribution is always armed, so this is
+  /// 0 only when the build compiled tracing out (-DSTS_TRACING=OFF).
   double batched_wait_fraction = 0.0;
   double pinned_wait_fraction = 0.0;  ///< same, for the pinned pass
 };
@@ -58,7 +57,7 @@ double waitFraction(const std::vector<engine::TraceSummaryRow>& rows);
 /// coalescing), then times resume() to the last future. The first
 /// `warmup` of `warmup + reps` passes are discarded. Shared by
 /// measureServing and the serving benches so every configuration —
-/// sequential, batched, pinned, elastic — is timed identically.
+/// sequential, batched, pinned, every fixed team — is timed identically.
 double measureStagedPasses(engine::SolverEngine& engine, engine::SolverId id,
                            const std::vector<std::vector<double>>& rhs,
                            int warmup, int reps);

@@ -13,10 +13,10 @@
 /// \file trace.hpp
 /// Solve-path tracing: who spent how long where, inside a real solve.
 ///
-/// The engine makes layered runtime decisions — coalescing, fold-policy
-/// team sizing, SLO controller steps, core leases and pins — and this
-/// header is the substrate that makes every one of them observable on
-/// production traffic:
+/// The engine makes layered runtime decisions — coalescing, core leases
+/// and the folded widths they grant, pins — and this header is the
+/// substrate that makes every one of them observable on production
+/// traffic:
 ///
 ///   * `TraceRing` — a per-thread, fixed-capacity ring of fixed-size
 ///     `TraceEvent` records. Single-writer (the owning thread), relaxed/
@@ -41,9 +41,8 @@
 ///
 /// Request lifecycle (category "engine"): `submit` → `queue_wait` →
 /// `coalesce` → `lease` → `pack` → `solve` → `unpack` → `batch_done`,
-/// plus `pin` instants (one per team member) and `slo_step` controller
-/// decisions. Plan construction (category "plan"): `analyze`,
-/// `fold_build`, `seed_probe`. Hot loop (category "exec"):
+/// plus `pin` instants (one per team member). Plan construction
+/// (category "plan"): `analyze`, `fold_build`. Hot loop (category "exec"):
 /// per-superstep `compute` and `barrier_wait` spans per OpenMP thread;
 /// `p2p_wait` spans for long cross-thread spins.
 ///

@@ -88,7 +88,7 @@ TEST(CoreSetBudget, RejectsBadSetsAndMismatchedReleases) {
 TEST(CoreSetBudget, LeaseExposesCores) {
   CoreBudget budget(std::vector<int>{3, 5});
   {
-    CoreBudget::Lease lease(budget, 2, 1);
+    CoreBudget::Lease lease(budget, 2);
     EXPECT_EQ(lease.granted(), 2);
     ASSERT_EQ(lease.cores().size(), 2u);
     EXPECT_EQ(lease.cores()[0], 3);
@@ -99,7 +99,7 @@ TEST(CoreSetBudget, LeaseExposesCores) {
 
   // Counting-mode leases stay anonymous.
   CoreBudget counting(2);
-  CoreBudget::Lease lease(counting, 2, 1);
+  CoreBudget::Lease lease(counting, 2);
   EXPECT_EQ(lease.granted(), 2);
   EXPECT_TRUE(lease.cores().empty());
 }
@@ -124,7 +124,7 @@ TEST(CoreSetBudget, ConcurrentLeasesAreDisjoint) {
       std::mt19937 rng(static_cast<unsigned>(i));
       for (int it = 0; it < kIterations; ++it) {
         const int desired = 1 + static_cast<int>(rng() % 4);
-        CoreBudget::Lease lease(budget, desired, 1);
+        CoreBudget::Lease lease(budget, desired);
         if (static_cast<int>(lease.cores().size()) != lease.granted()) {
           violations.fetch_add(1);
         }
@@ -294,7 +294,7 @@ TEST(AffinityEngine, PinnedServingIsBitwiseAndCounted) {
     engine::EngineOptions options;
     options.num_workers = 4;
     // Lower: one batch per request, maximal contention.
-    options.coalesce = upper;
+    if (!upper) options.max_batch = 1;
     options.start_paused = true;
     options.team_size = 4;
     options.pin_threads = true;  // core set auto-detected from the process

@@ -29,8 +29,8 @@
 /// equal to full-width solves for every scheduler kind and every team
 /// size, mixed team sizes are safe concurrently on one solver (the lazy
 /// folded-plan cache is exercised under TSan in CI), the analyze-time
-/// thread-count clamp is surfaced and lossless, and the engine's elastic
-/// policy shrinks teams exactly under deep backlog.
+/// thread-count clamp is surfaced and lossless, and the engine runs every
+/// batch on its fixed team, shrunk or full width, bitwise.
 
 namespace sts {
 namespace {
@@ -326,92 +326,34 @@ TEST(ElasticEngine, FixedTeamServesBitwise) {
     solver->solve(b, expected, *ctx, solver->numThreads());
   }
 
-  engine::EngineOptions options;
-  options.num_workers = 2;
-  options.team_size = 1;  // pinned shrunk team; folding keeps it bitwise
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < 8; ++r) futures.push_back(engine.submit(id, b));
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
+  // Every batch runs at the fixed team: a shrunk team served as requests
+  // arrive, and the full width under a staged deep backlog popped one
+  // request per batch.
+  const auto serve = [&](int team, bool staged) {
+    engine::EngineOptions options;
+    options.num_workers = 2;
+    options.team_size = team;  // folding keeps a shrunk team bitwise
+    options.start_paused = staged;
+    if (staged) options.max_batch = 1;
+    engine::SolverEngine engine(options);
+    const auto id = engine.registerSolver(solver);
+    std::vector<std::future<std::vector<double>>> futures;
+    for (int r = 0; r < (staged ? 16 : 8); ++r) {
+      futures.push_back(engine.submit(id, b));
+    }
+    engine.resume();
+    for (auto& f : futures) EXPECT_EQ(f.get(), expected);
+    engine.drain();
+    return engine.stats(id);
+  };
 
-  const auto stats = engine.stats(id);
-  EXPECT_DOUBLE_EQ(stats.mean_team_size, 1.0);
-  EXPECT_EQ(stats.shrunk_batches, 0u);  // fixed team is the base itself
-}
-
-TEST(ElasticEngine, AdaptivePolicyShrinksUnderDeepBacklogOnly) {
-  const auto lower = datagen::bandedLower(300, 8, 0.5, 61);
-  auto solver = analyzeWide(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 62);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
-
-  engine::EngineOptions options;
-  options.num_workers = 2;
-  options.coalesce = false;  // one batch per request: many team decisions
-  options.start_paused = true;
-  options.elastic = true;
-  options.team_size = 4;  // elastic base width (host-independent)
-  options.elastic_deep_queue = 1;
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-
-  constexpr int kRequests = 16;
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < kRequests; ++r) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
-
-  const auto stats = engine.stats(id);
-  EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
-  // A staged backlog of 16 guarantees deep-queue pops: at least the first
-  // pop leaves 15 pending, so some batches must have run shrunk
-  // (ceil(4 / 2 workers) = 2 < base 4).
-  EXPECT_GT(stats.shrunk_batches, 0u);
-  EXPECT_LT(stats.mean_team_size, 4.0);
-  EXPECT_GE(stats.mean_team_size, 1.0);
-}
-
-TEST(ElasticEngine, MinTeamIsValidatedAndNeverWidensPastBase) {
-  engine::EngineOptions bad;
-  bad.elastic_min_team = 0;
-  EXPECT_THROW(engine::SolverEngine{bad}, std::invalid_argument);
-
-  const auto lower = datagen::bandedLower(200, 6, 0.5, 71);
-  auto solver = analyzeWide(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 72);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
-
-  engine::EngineOptions options;
-  options.num_workers = 2;
-  options.coalesce = false;
-  options.start_paused = true;
-  options.elastic = true;
-  options.team_size = 2;        // base width
-  options.elastic_min_team = 8; // above the base: must cap, not widen
-  options.elastic_deep_queue = 1;
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < 8; ++r) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
-  const auto stats = engine.stats(id);
-  EXPECT_LE(stats.mean_team_size, 2.0);
-  EXPECT_GE(stats.mean_team_size, 1.0);
+  const auto shrunk = serve(1, /*staged=*/false);
+  EXPECT_DOUBLE_EQ(shrunk.mean_team_size, 1.0);
+  EXPECT_EQ(shrunk.budget_throttled_batches, 0u);
+  const auto deep = serve(4, /*staged=*/true);
+  EXPECT_EQ(deep.batches, 16u);
+  EXPECT_DOUBLE_EQ(deep.mean_team_size, 4.0);
+  EXPECT_EQ(deep.budget_throttled_batches, 0u);
 }
 
 engine::SolveRequest makeRequest(engine::SolverId solver, index_t nrhs) {
@@ -431,14 +373,14 @@ TEST(RequestQueueCompaction, CoalescesInOnePassPreservingFifo) {
     queue.push(makeRequest(solver, nrhs));
   }
   std::size_t backlog = 99;
-  auto batch = queue.popBatch(/*max_rhs=*/4, /*coalesce=*/true, &backlog);
+  auto batch = queue.popBatch(/*max_rhs=*/4, &backlog);
   ASSERT_EQ(batch.size(), 4u);
   for (const auto& r : batch) EXPECT_EQ(r.solver, 0u);
   EXPECT_EQ(backlog, 2u);
   EXPECT_EQ(queue.size(), 2u);
 
   // Remaining: B B — pops as one coalesced batch.
-  batch = queue.popBatch(4, true, &backlog);
+  batch = queue.popBatch(4, &backlog);
   ASSERT_EQ(batch.size(), 2u);
   for (const auto& r : batch) EXPECT_EQ(r.solver, 1u);
   EXPECT_EQ(backlog, 0u);
@@ -449,10 +391,10 @@ TEST(RequestQueueCompaction, EarlyBudgetStopLeavesTailUntouched) {
   // A A A A: budget 2 takes the head plus one — the matching prefix means
   // the compaction pass stops early with the tail already in place.
   for (int i = 0; i < 4; ++i) queue.push(makeRequest(0, 1));
-  auto batch = queue.popBatch(/*max_rhs=*/2, /*coalesce=*/true);
+  auto batch = queue.popBatch(/*max_rhs=*/2);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(queue.size(), 2u);
-  batch = queue.popBatch(/*max_rhs=*/8, /*coalesce=*/true);
+  batch = queue.popBatch(/*max_rhs=*/8);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(queue.size(), 0u);
 }
@@ -462,11 +404,11 @@ TEST(RequestQueueCompaction, MultiRhsRequestsNeverCoalesce) {
   queue.push(makeRequest(0, 1));
   queue.push(makeRequest(0, 2));  // multi-RHS: must stay alone
   queue.push(makeRequest(0, 1));
-  auto batch = queue.popBatch(8, true);
+  auto batch = queue.popBatch(8);
   ASSERT_EQ(batch.size(), 2u);  // the two nrhs==1 requests
   EXPECT_EQ(batch[0].nrhs, 1);
   EXPECT_EQ(batch[1].nrhs, 1);
-  batch = queue.popBatch(8, true);
+  batch = queue.popBatch(8);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].nrhs, 2);
 }

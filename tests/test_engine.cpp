@@ -203,7 +203,7 @@ TEST(SolverEngine, ConcurrentSolvesStress) {
 
   EngineOptions options;
   options.num_workers = 8;
-  options.coalesce = false;
+  options.max_batch = 1;
   options.start_paused = true;  // stage the backlog, then release all at once
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);

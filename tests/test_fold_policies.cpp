@@ -30,10 +30,7 @@
 /// the p mod t fold's (strictly beating it on the imbalanced stand-ins,
 /// pinned exactly on bench_fold_policies' rows); the CoreBudget arbiter
 /// bounds aggregate granted teams across concurrent batches (run under
-/// TSan in CI); the SLO controller shrinks under slack and holds the base
-/// under violation; the adaptive coalescing cap expands batches only under
-/// a deep queue; the controller's cold start seeds from the analyze-time
-/// cost model, whose foldedMakespanAt composes the rank map with the
+/// TSan in CI); core::foldedMakespanAt composes the rank map with the
 /// folded makespan. Bitwise losslessness of folded solves is
 /// test_elastic's ElasticSolve suite.
 
@@ -352,7 +349,6 @@ TEST(CoreBudget, ValidatesAndTracksPeak) {
   EXPECT_TRUE(budget.limited());
   EXPECT_FALSE(budget.hasCoreSet());
   EXPECT_THROW(budget.acquire(0), std::invalid_argument);
-  EXPECT_THROW(budget.acquire(2, 0), std::invalid_argument);
   auto a = budget.acquire(3);
   EXPECT_EQ(a.count, 3);
   EXPECT_TRUE(a.ids.empty());  // counting mode: anonymous grants
@@ -373,14 +369,15 @@ TEST(CoreBudget, ValidatesAndTracksPeak) {
   EXPECT_EQ(unlimited.inUse(), 0);
 }
 
-TEST(CoreBudget, MinNeededBlocksUntilAvailable) {
+TEST(CoreBudget, BlocksWhileExhausted) {
   engine::CoreBudget budget(4);
-  auto held = budget.acquire(3);
-  ASSERT_EQ(held.count, 3);
+  auto held = budget.acquire(4);
+  ASSERT_EQ(held.count, 4);
   std::atomic<bool> granted{false};
   std::thread waiter([&] {
-    // min_needed 2 > 1 free: must block until the release below.
-    auto got = budget.acquire(2, 2);
+    // No core free: must block until the release below.
+    auto got = budget.acquire(2);
+    EXPECT_EQ(got.count, 2);
     granted.store(true);
     budget.release(std::move(got));
   });
@@ -408,7 +405,7 @@ TEST(CoreBudget, ConcurrentGrantsNeverExceedTotal) {
       std::mt19937 rng(static_cast<unsigned>(i));
       for (int it = 0; it < kIterations; ++it) {
         const int desired = 1 + static_cast<int>(rng() % 4);
-        engine::CoreBudget::Lease lease(budget, desired, 1);
+        engine::CoreBudget::Lease lease(budget, desired);
         const int now =
             outstanding.fetch_add(lease.granted()) + lease.granted();
         if (now > kTotal) violations.fetch_add(1);
@@ -447,7 +444,7 @@ TEST(CoreBudgetEngine, ConcurrentBatchesRespectBudget) {
 
   engine::EngineOptions options;
   options.num_workers = 4;
-  options.coalesce = false;   // one batch per request: maximal contention
+  options.max_batch = 1;      // one batch per request: maximal contention
   options.start_paused = true;
   options.team_size = 4;      // every batch desires the full width
   options.core_budget = 6;    // < workers * base: grants must throttle
@@ -470,178 +467,6 @@ TEST(CoreBudgetEngine, ConcurrentBatchesRespectBudget) {
   // overlap, so some batch must have been throttled.
   EXPECT_GT(stats.budget_throttled_batches, 0u);
   EXPECT_LT(stats.mean_team_size, 4.0);
-}
-
-// ------------------------------------------------------- SLO controller --
-
-/// A deterministic n x nrhs right-hand side; `salt` varies it per request.
-std::vector<double> makeRhs(size_t n, index_t nrhs, unsigned salt = 0) {
-  std::vector<double> b(n * static_cast<size_t>(nrhs));
-  for (size_t i = 0; i < b.size(); ++i) {
-    b[i] = 1.0 + 0.125 * static_cast<double>((i * 7 + salt) % 23) -
-           0.5 * static_cast<double>((i + salt) % 3);
-  }
-  return b;
-}
-
-TEST(SloElastic, UnreachableTargetHoldsBaseWidth) {
-  const auto lower = datagen::bandedLower(300, 8, 0.5, 61);
-  auto solver = analyzeWide(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 62);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
-
-  engine::EngineOptions options;
-  options.num_workers = 2;
-  options.coalesce = false;
-  options.start_paused = true;
-  options.elastic = true;
-  options.team_size = 4;
-  options.elastic_deep_queue = 1;
-  options.target_p95 = 1e-12;  // always violating: never shrink
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < 16; ++r) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
-
-  const auto stats = engine.stats(id);
-  EXPECT_EQ(stats.shrunk_batches, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_team_size, 4.0);
-}
-
-TEST(SloElastic, SlackTargetShrinksUnderBacklog) {
-  const auto lower = datagen::bandedLower(300, 8, 0.5, 71);
-  auto solver = analyzeWide(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 72);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
-
-  engine::EngineOptions options;
-  options.num_workers = 2;
-  options.coalesce = false;  // one batch per request: many controller steps
-  options.start_paused = true;
-  options.elastic = true;
-  options.team_size = 4;
-  options.elastic_deep_queue = 1;
-  options.target_p95 = 3600.0;  // always under target: shrink when deep
-  engine::SolverEngine engine(options);
-  const auto id = engine.registerSolver(solver);
-
-  constexpr int kRequests = 24;
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int r = 0; r < kRequests; ++r) futures.push_back(engine.submit(id, b));
-  engine.resume();
-  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-  engine.drain();
-
-  const auto stats = engine.stats(id);
-  EXPECT_EQ(stats.rhs_solved, static_cast<std::uint64_t>(kRequests));
-  // The staged backlog keeps the queue deep while the window p95 sits far
-  // under target, so the controller must have shrunk teams.
-  EXPECT_GT(stats.shrunk_batches, 0u);
-  EXPECT_LT(stats.mean_team_size, 4.0);
-  EXPECT_GE(stats.mean_team_size, 1.0);
-}
-
-TEST(SloElastic, ColdStartSeedsFromCostModel) {
-  const auto lower = datagen::grid2dLaplacian5(12, 12).lowerTriangle();
-  const auto n = static_cast<size_t>(lower.rows());
-  SolverOptions solver_opts;
-  solver_opts.num_threads = 4;
-  auto solver = std::make_shared<const TriangularSolver>(
-      TriangularSolver::analyze(lower, solver_opts));
-  const int base = 4;
-
-  // Generous target: the cost model must conclude the minimum team still
-  // meets it and seed the controller below the base width. team_size pins
-  // the base at the analyzed width so the test is host-independent (the
-  // default team clamps to the machine's cores).
-  engine::EngineOptions opts;
-  opts.num_workers = 1;
-  opts.team_size = base;
-  opts.elastic = true;
-  opts.target_p95 = 30.0;  // far above any solve on this matrix
-  opts.start_paused = true;
-  engine::SolverEngine engine(opts);
-  const auto id = engine.registerSolver(solver);
-  const auto seeded = engine.stats(id).seeded_team;
-  EXPECT_GE(seeded, 1);
-  EXPECT_LT(seeded, base);
-
-  // The first window must be served at the seeded width, not the base.
-  std::vector<std::future<std::vector<double>>> futures;
-  for (unsigned j = 0; j < 4; ++j) {
-    futures.push_back(engine.submit(id, makeRhs(n, 1, j)));
-  }
-  engine.resume();
-  for (auto& f : futures) f.get();
-  // Futures resolve before the worker posts its stats; drain() returns
-  // only after the batch fully retires, so the snapshot below is stable.
-  engine.drain();
-  const auto stats = engine.stats(id);
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_LE(stats.mean_team_size, static_cast<double>(seeded) + 1e-9);
-
-  // Unreachable target: the model must keep the base width (no seed).
-  engine::EngineOptions tight = opts;
-  tight.target_p95 = 1e-12;
-  engine::SolverEngine tight_engine(tight);
-  const auto tight_id = tight_engine.registerSolver(solver);
-  EXPECT_EQ(tight_engine.stats(tight_id).seeded_team, 0);
-}
-
-// --------------------------------------------------- adaptive coalescing --
-
-TEST(AdaptiveBatch, DeepQueueExpandsBatchesShallowDoesNot) {
-  const auto lower = datagen::bandedLower(250, 6, 0.5, 81);
-  auto solver = analyzeWide(lower, 4);
-  const auto x_true = exec::referenceSolution(lower.rows(), 82);
-  const auto b = lower.multiply(x_true);
-  std::vector<double> expected(b.size(), 0.0);
-  {
-    auto ctx = solver->createContext();
-    solver->solve(b, expected, *ctx, solver->numThreads());
-  }
-
-  auto run = [&](bool adaptive) {
-    engine::EngineOptions options;
-    options.num_workers = 1;  // deterministic pops
-    options.max_batch = 4;
-    options.start_paused = true;
-    options.elastic = true;
-    options.team_size = 1;
-    options.elastic_deep_queue = 2;
-    options.adaptive_batch = adaptive;
-    engine::SolverEngine engine(options);
-    const auto id = engine.registerSolver(solver);
-    std::vector<std::future<std::vector<double>>> futures;
-    for (int r = 0; r < 24; ++r) futures.push_back(engine.submit(id, b));
-    engine.resume();
-    for (auto& f : futures) EXPECT_EQ(f.get(), expected);
-    engine.drain();
-    return engine.stats(id);
-  };
-
-  const auto adaptive = run(true);
-  // Depth 24 >= 2 * deep at the first pops: the cap doubles to 8, so some
-  // batch must carry more than max_batch columns.
-  EXPECT_GT(adaptive.expanded_batches, 0u);
-  EXPECT_EQ(adaptive.rhs_solved, 24u);
-
-  const auto fixed = run(false);
-  EXPECT_EQ(fixed.expanded_batches, 0u);
-  EXPECT_EQ(fixed.rhs_solved, 24u);
 }
 
 }  // namespace

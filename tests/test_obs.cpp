@@ -24,10 +24,10 @@
 /// The observability layer: trace rings (wraparound, dropped accounting,
 /// concurrent emit — run under TSan in CI), session JSON export (span
 /// nesting), the metrics registry (histogram quantiles vs the exact
-/// harness::quantile), the proportional SLO step function, and the
-/// serving-stats API contract. Every test here also compiles (and the
-/// non-ring-emission subset passes identically) under -DSTS_TRACING=OFF,
-/// which CI builds as a separate job.
+/// harness::quantile), and the serving-stats API contract. Every test
+/// here also compiles (and the non-ring-emission subset passes
+/// identically) under -DSTS_TRACING=OFF, which CI builds as a separate
+/// job.
 
 namespace sts::obs {
 namespace {
@@ -270,31 +270,6 @@ TEST(Registry, GetOrCreateReturnsStableInstruments) {
 namespace sts::engine {
 namespace {
 
-TEST(SloStep, HoldsInsideTheDeadband) {
-  // p95 exactly at target, and within +-10% of it: no actuation.
-  EXPECT_EQ(sloStep(0.050, 0.050, 4, 8, 1, false), 4);
-  EXPECT_EQ(sloStep(0.054, 0.050, 4, 8, 1, true), 4);
-  EXPECT_EQ(sloStep(0.046, 0.050, 4, 8, 1, true), 4);
-}
-
-TEST(SloStep, GrowsProportionallyToTheViolation) {
-  // 50% over target at width 4: step = round(0.5 * 0.5 * 4) = 1.
-  EXPECT_EQ(sloStep(0.075, 0.050, 4, 8, 1, false), 5);
-  // 200% over target at width 2: step = round(0.5 * 2.0 * 2) = 2.
-  EXPECT_EQ(sloStep(0.150, 0.050, 2, 8, 1, false), 4);
-  // Unreachable target saturates at base without overflowing.
-  EXPECT_EQ(sloStep(10.0, 1e-12, 2, 8, 1, false), 8);
-}
-
-TEST(SloStep, ShrinksOnlyUnderDeepBacklog) {
-  // 60% under target but shallow queue: latency slack is not spent.
-  EXPECT_EQ(sloStep(0.020, 0.050, 4, 8, 1, false), 4);
-  // Same slack with deep backlog: step = round(0.5 * 0.6 * 4) = 1.
-  EXPECT_EQ(sloStep(0.020, 0.050, 4, 8, 1, true), 3);
-  // Never below min_team.
-  EXPECT_EQ(sloStep(0.001, 0.050, 2, 8, 2, true), 2);
-}
-
 TEST(ServingStats, ApiStaysBackCompatibleWithHistogramQuantiles) {
   const auto lower = datagen::bandedLower(400, 8, 0.5, 13);
   exec::SolverOptions solver_opts;
@@ -325,7 +300,6 @@ TEST(ServingStats, ApiStaysBackCompatibleWithHistogramQuantiles) {
   // Histogram quantiles are monotone in q by construction.
   EXPECT_GE(stats.latency_p95_seconds, stats.latency_p50_seconds);
   EXPECT_GT(stats.throughput_rhs_per_second, 0.0);
-  EXPECT_EQ(stats.slo_steps, 0u);  // elasticity off: no controller steps
 
   // The metrics registry mirrors the counters the snapshot reports.
   const std::string text = engine.metrics().renderText();
@@ -344,7 +318,6 @@ TEST(TraceSummary, AttributesComputePerTeam) {
   EngineOptions options;
   options.num_workers = 1;
   options.max_batch = 4;
-  options.trace = true;
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);
 

@@ -136,7 +136,7 @@ TEST(RequestQueue, AgingBoundsLatencyClassBypass) {
   // strict priority.
   std::vector<RequestPriority> order;
   while (queue.size() > 0) {
-    auto batch = queue.popBatch(/*max_rhs=*/1, /*coalesce=*/false);
+    auto batch = queue.popBatch(/*max_rhs=*/1);
     ASSERT_EQ(batch.size(), 1u);
     order.push_back(batch.front().priority);
   }
@@ -161,11 +161,11 @@ TEST(RequestQueue, CoalescingNeverCrossesTheClassBoundary) {
             RequestQueue::PushResult::kAccepted);
   // First pop: the latency class only — a latency request is never merged
   // into (or behind) a throughput batch, however much budget remains.
-  auto first = queue.popBatch(/*max_rhs=*/16, /*coalesce=*/true);
+  auto first = queue.popBatch(/*max_rhs=*/16);
   ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(first[0].priority, RequestPriority::kLatency);
   EXPECT_EQ(first[1].priority, RequestPriority::kLatency);
-  auto second = queue.popBatch(/*max_rhs=*/16, /*coalesce=*/true);
+  auto second = queue.popBatch(/*max_rhs=*/16);
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(second[0].priority, RequestPriority::kThroughput);
   EXPECT_EQ(second.size() + first.size(), 4u);
@@ -193,8 +193,7 @@ TEST(RequestQueue, LazyExpirySweepsDeadRequestsIntoTheCallerList) {
   ASSERT_EQ(queue.push(makeRequest(RequestPriority::kThroughput)),
             RequestQueue::PushResult::kAccepted);
   std::vector<SolveRequest> expired;
-  auto batch = queue.popBatch(/*max_rhs=*/1, /*coalesce=*/false,
-                              /*backlog=*/nullptr, &expired);
+  auto batch = queue.popBatch(/*max_rhs=*/1, /*backlog=*/nullptr, &expired);
   // The live request comes back as the batch; the dead one via `expired`.
   ASSERT_EQ(batch.size(), 1u);
   ASSERT_EQ(expired.size(), 1u);
@@ -377,15 +376,6 @@ TEST(OverloadEngine, ValidatesOverloadOptions) {
   nan_target.overload_control = true;
   nan_target.overload_target_delay = nan;
   EXPECT_THROW(SolverEngine{nan_target}, std::invalid_argument);
-  EngineOptions bad_hysteresis;
-  bad_hysteresis.overload_hysteresis = -0.1;
-  EXPECT_THROW(SolverEngine{bad_hysteresis}, std::invalid_argument);
-  EngineOptions nan_hysteresis;
-  nan_hysteresis.overload_hysteresis = nan;
-  EXPECT_THROW(SolverEngine{nan_hysteresis}, std::invalid_argument);
-  EngineOptions nan_p95;
-  nan_p95.target_p95 = nan;
-  EXPECT_THROW(SolverEngine{nan_p95}, std::invalid_argument);
   EngineOptions bad_deadline_engine;
   SolverEngine engine(bad_deadline_engine);
   const auto lower = datagen::bandedLower(50, 4, 0.5, 3);

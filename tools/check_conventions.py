@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific convention lints that clang-tidy cannot express.
 
-Six rules, each encoding a contract documented in docs/ (violations have
+Seven rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
@@ -40,6 +40,12 @@ bitten or would bite silently — none of them is a style preference):
       mutex is invisible to the analysis, so a data race behind it would
       pass the `-Werror=thread-safety` CI gate. base/sync.hpp itself is
       exempt (it is the wrapper).
+
+  layer-includes
+      No file under src/ outside src/harness/ and src/datagen/ includes a
+      harness/ or datagen/ header. Both layers sit below every library
+      layer in docs/ARCHITECTURE.md's layer map: a library include of
+      them inverts the map and drags measurement code into the solver.
 
   failpoint-discipline
       Library code (src/, outside src/fault/) must reach fault injection
@@ -87,6 +93,9 @@ LOCK_DISCIPLINE_FILES = ("exec/elastic.hpp",)
 LOCK_DISCIPLINE_EXEMPT = ("base/sync.hpp", "base/thread_annotations.hpp")
 RAW_LOCK = re.compile(
     r"std::(mutex|lock_guard|unique_lock|scoped_lock|shared_mutex)\b")
+
+# The bottom layers of the layer map; only they may include each other.
+BOTTOM_LAYERS = ("harness/", "datagen/")
 
 # Direct fault-injection API tokens; the call-site macros are the only
 # sanctioned spelling outside src/fault/ and `#if STS_FAULTS` regions.
@@ -248,6 +257,21 @@ def check_lock_discipline(path: Path, lines: list[str]) -> list[str]:
     return errors
 
 
+def check_layer_includes(path: Path, lines: list[str]) -> list[str]:
+    rel_src = path.relative_to(SRC).as_posix() if path.is_relative_to(SRC) else ""
+    if not rel_src or rel_src.startswith(BOTTOM_LAYERS):
+        return []
+    errors = []
+    for idx, line in enumerate(lines):
+        m = re.match(r'\s*#\s*include\s+"([^"]+)"', line)
+        if m and m.group(1).startswith(BOTTOM_LAYERS):
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: layer-includes: "
+                f"library code includes \"{m.group(1)}\"; harness/ and "
+                f"datagen/ sit below every library layer")
+    return errors
+
+
 def check_failpoint_discipline(path: Path, lines: list[str]) -> list[str]:
     rel = path.relative_to(REPO)
     rel_src = path.relative_to(SRC).as_posix() if path.is_relative_to(SRC) else ""
@@ -295,6 +319,7 @@ def run(paths: list[Path]) -> list[str]:
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
         errors += check_lock_discipline(path, lines)
+        errors += check_layer_includes(path, lines)
         errors += check_failpoint_discipline(path, lines)
     return errors
 
@@ -373,6 +398,22 @@ base::MutexLock lock(mu_);
     ("raw mutex outside annotated modules passes", "src/harness/fix.cpp", """
 std::mutex mu;
 """, None),
+    ("library layer includes the harness", "src/engine/solver_engine.cpp",
+     """
+#include "engine/solver_engine.hpp"
+
+#include "exec/affinity.hpp"
+#include "fault/failpoint.hpp"
+#include "harness/stats.hpp"
+#include "obs/trace.hpp"
+""", "layer-includes"),
+    ("library layer includes a generator", "src/exec/fix.cpp", """
+#include "datagen/grids.hpp"
+""", "layer-includes"),
+    ("harness includes its own layer and datagen", "src/harness/fix.cpp", """
+#include "harness/stats.hpp"
+#include "datagen/grids.hpp"
+""", None),
     ("direct fault API outside src/fault/", "src/engine/fix.cpp", """
 sts::fault::FailpointRegistry::global().configure("x=fail");
 """, "failpoint-discipline"),
@@ -405,6 +446,13 @@ def self_check() -> int:
                 target = root / vpath
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(source, encoding="utf-8")
+                # Quoted includes resolve as in the real tree: stub each
+                # one that exists under the real src/.
+                for inc in re.findall(r'#\s*include\s+"([^"]+)"', source):
+                    if (old_src / inc).is_file():
+                        stub = SRC / inc
+                        stub.parent.mkdir(parents=True, exist_ok=True)
+                        stub.touch()
                 errors = run([target])
             finally:
                 REPO, SRC = old_repo, old_src
